@@ -36,7 +36,7 @@ def hamiltonian(f: BForm, N: int, *, budget: int = SPARSE_SIZE_BUDGET) -> ChainO
     for j in range(1, N):
         xj = embed(x, j, N, budget=budget)
         total = xj if total is None else total + xj
-    return ChainOp(n=f.n, N=N, matrix=total.matrix, applier=total.applier, label="H")
+    return ChainOp(n=f.n, N=N, matrix=total.matrix, label="H")
 
 
 @dataclass(frozen=True)
@@ -80,17 +80,33 @@ class SpectrumReport:
 
 
 def _cluster_eigenvalues(values: np.ndarray, tol: float) -> list[Cluster]:
-    order = np.lexsort((values.imag, values.real))
-    ordered = values[order]
-    groups: list[list[complex]] = []
-    for lam in ordered:
-        if groups:
-            ref = np.mean(groups[-1])
-            if abs(lam - ref) <= tol * (1 + abs(lam)):
-                groups[-1].append(lam)
-                continue
-        groups.append([lam])
-    clusters = [Cluster(value=complex(np.mean(g)), multiplicity=len(g)) for g in groups]
+    """Single-linkage clusters: eigenvalues within tol * (1 + |lambda|) of each other join.
+
+    A sweep over the real-sorted list links each value to every later one
+    whose real part is still within reach, so values that share a real part
+    and interleave by round-off still meet their partners.  Each cluster is
+    labelled by its first member; members keep the (real, imag) order, and
+    a cluster's value is their mean.
+    """
+    ordered = values[np.lexsort((values.imag, values.real))]
+    radius = tol * (1 + np.abs(ordered))
+    stop = np.searchsorted(ordered.real, ordered.real + np.max(radius, initial=0.0), side="right")
+    labels = np.arange(ordered.size)  # a label is the first index of its cluster
+    for i in range(ordered.size):
+        window = slice(i + 1, stop[i])
+        close = np.abs(ordered[window] - ordered[i]) <= np.maximum(radius[i], radius[window])
+        view = labels[window]
+        met = view[close]
+        formed = met[met <= i]  # partners already linked to an earlier value
+        if np.any(formed != labels[i]):
+            # merge clusters; nothing at or past stop[i] is linked yet
+            joined = np.unique(np.append(formed, labels[i]))
+            span = labels[joined[0]:stop[i]]
+            span[np.isin(span, joined)] = joined[0]
+        view[close] = labels[i]
+    _, counts = np.unique(labels, return_counts=True)
+    groups = np.split(ordered[np.argsort(labels, kind="stable")], np.cumsum(counts)[:-1])
+    clusters = [Cluster(value=complex(np.mean(g)), multiplicity=g.size) for g in groups]
     clusters.sort(key=lambda c: (c.value.real, c.value.imag))
     return clusters
 
@@ -101,7 +117,7 @@ def spectrum(
     *,
     budget: int = DENSE_SIZE_BUDGET,
 ) -> SpectrumReport:
-    """Full eigenvalue list of a chain operator, greedily clustered.
+    """Full eigenvalue list of a chain operator, clustered by single linkage.
 
     Uses the Hermitian solver when the operator is Hermitian at the working
     tolerance (tighter default clustering); the general solver otherwise.

@@ -1,8 +1,8 @@
 """Small dense/sparse kernels shared by the operator modules.
 
-Norm conventions: materialized operators are compared with the max-abs entry
-norm; matrix-free operators fall back to a power-iteration estimate with a
-seeded start, so every reported residual is reproducible.
+Norm convention: operators are compared with the max-abs entry norm, and a
+residual is that norm divided by a scale that is clamped away from zero
+(``scaled``), so every reported residual is finite and reproducible.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ DENSE_SIZE_BUDGET = 4096
 # Singular values above RANK_RTOL * sigma_max count toward the numerical rank.
 RANK_RTOL = 1e-8
 
-_TINY = 1e-300
+# Floor for residual scales: the smallest positive normal double.
+_TINY = float(np.finfo(float).tiny)
 
 
 def max_abs(a) -> float:
@@ -38,10 +39,14 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(arr))) if arr.size else 0.0
 
 
+def scaled(num, scale) -> float:
+    """``num / scale`` with the scale clamped away from zero."""
+    return num / max(scale, _TINY)
+
+
 def rel_residual(diff, scale_terms: Iterable) -> float:
     """max-abs of ``diff`` relative to the largest entry among ``scale_terms``."""
-    scale = max((max_abs(t) for t in scale_terms), default=0.0)
-    return max_abs(diff) / max(scale, _TINY)
+    return scaled(max_abs(diff), max((max_abs(t) for t in scale_terms), default=0.0))
 
 
 def require_finite(arr, label: str) -> None:
@@ -80,22 +85,3 @@ def numerical_rank(a: np.ndarray, rtol: float = RANK_RTOL) -> int:
         return 0
     return int(np.sum(s > rtol * s[0]))
 
-
-def power_norm_estimate(applier, dim: int, iters: int = 20, seed: int = 0) -> float:
-    """Power-iteration estimate of the dominant singular scale of a matvec.
-
-    Forward-only iteration; used as the residual norm proxy for matrix-free
-    chain operators when no materialized form is available.
-    """
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(iters):
-        w = applier(v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        est = nw
-        v = w / nw
-    return float(est)

@@ -20,6 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .bform import BForm
+from .chain import hamiltonian
 from .errors import ConventionMismatch, UnsupportedDimension
 from .linalg import (
     GLOBAL_TOL,
@@ -28,10 +29,11 @@ from .linalg import (
     flip_operator,
     max_abs,
     rel_residual,
+    scaled,
 )
 from .reports import ResidualReport
 from .rmatrix import constant_R, projectors
-from .tl_rep import ChainOp, LocalOp, embed, local_X
+from .tl_rep import ChainOp, LocalOp, embed
 
 # Auxiliary-space block names, row-major over the 3 x 3 grid.
 GENERATOR_GRID = (("A1", "B1", "B3"), ("C1", "A2", "B2"), ("C3", "C2", "A3"))
@@ -58,15 +60,6 @@ class AuxOperatorMatrix:
 
     def dense_entry(self, a: int, b: int) -> np.ndarray:
         return self.entries[a][b].to_dense()
-
-    def dense_grid(self) -> np.ndarray:
-        """Grid as a (n_a, n_a, dim, dim) dense array."""
-        dim = self.entries[0][0].dim
-        out = np.zeros((self.n_a, self.n_a, dim, dim), dtype=complex)
-        for a in range(self.n_a):
-            for b in range(self.n_a):
-                out[a, b] = self.dense_entry(a, b)
-        return out
 
 
 @dataclass(frozen=True)
@@ -168,31 +161,27 @@ def check_centralizer(f: BForm, N: int, *, tol: float = 1e-8) -> ResidualReport:
     if N < 2:
         raise ValueError("centralizer check needs N >= 2")
     tower = coproduct_T(f, N)
-    r = LocalOp(f.n, constant_R(f).mat, label="R")
+    r = constant_R(f)
     r_embeds = {k: embed(r, k, N).matrix for k in range(1, N)}
-    x = local_X(f)
-    h = None
-    for j in range(1, N):
-        xj = embed(x, j, N).matrix
-        h = xj if h is None else h + xj
+    h = hamiltonian(f, N).matrix
     report = ResidualReport(config={"family": f.family, "n": f.n, "N": N})
     # residuals are relative to the tower's global scale: an entry that is
     # structurally zero must not be divided by its own vanishing magnitude
     tower_scale = max(max_abs(tower.entry(a, b).matrix) for a in range(f.n) for b in range(f.n))
     for k in range(1, N):
         rk = r_embeds[k]
-        scale = max(max_abs(rk) * tower_scale, 1e-300)
+        scale = max_abs(rk) * tower_scale
         for a in range(f.n):
             for b in range(f.n):
                 t = tower.entry(a, b).matrix
                 comm = rk @ t - t @ rk
-                report.add(f"centralizer_R{k}_T[{a + 1},{b + 1}]", max_abs(comm) / scale, tol)
-    h_scale = max(max_abs(h) * tower_scale, 1e-300)
+                report.add(f"centralizer_R{k}_T[{a + 1},{b + 1}]", scaled(max_abs(comm), scale), tol)
+    h_scale = max_abs(h) * tower_scale
     for a in range(f.n):
         for b in range(f.n):
             t = tower.entry(a, b).matrix
             comm = h @ t - t @ h
-            report.add(f"centralizer_H_T[{a + 1},{b + 1}]", max_abs(comm) / h_scale, tol)
+            report.add(f"centralizer_H_T[{a + 1},{b + 1}]", scaled(max_abs(comm), h_scale), tol)
     return report
 
 
@@ -240,8 +229,7 @@ def _scalar_fit(grid: np.ndarray) -> tuple[complex, float]:
         for b in range(n):
             target = c2 * eye if a == b else np.zeros((dim, dim))
             worst = max(worst, max_abs(grid[a, b] - target))
-    scale = max(max_abs(grid), 1e-300)
-    return complex(c2), worst / scale
+    return complex(c2), scaled(worst, max_abs(grid))
 
 
 def casimir(
@@ -282,8 +270,23 @@ def casimir(
     report = ResidualReport(config={"family": f.family, "n": f.n, "ordering": order})
     report.add("casimir_scalar", misfit, tol)
     if f.family == "kls" and grid_ops.N == 1:
-        report.add("casimir_value_q", abs(c2 - f.q) / max(abs(f.q), 1e-300), tol)
+        report.add("casimir_value_q", scaled(abs(c2 - f.q), abs(f.q)), tol)
     return CasimirResult(c2=c2, ordering=order, grid=grid, report=report)
+
+
+def casimir_grouplike(f: BForm, *, tol: float = 1e-8) -> tuple[CasimirResult, CasimirResult, ResidualReport]:
+    """The one-site Casimir c2, the two-site one, and their checks.
+
+    The Casimir is group-like: its value on the two-site tower T(2) must be
+    c2^2.  The report holds the one-site checks followed by
+    ``casimir_grouplike``.
+    """
+    cas = casimir(f)
+    cas2 = casimir(f, aux=coproduct_T(f, 2))
+    report = ResidualReport(config=dict(cas.report.config))
+    report.extend(cas.report)
+    report.add("casimir_grouplike", scaled(abs(cas2.c2 - cas.c2 ** 2), abs(cas.c2 ** 2)), tol)
+    return cas, cas2, report
 
 
 def casimir_combination(f: BForm, *, tol: float = 1e-8) -> ResidualReport:
@@ -344,7 +347,7 @@ def check_coassociativity(f: BForm, *, tol: float = GLOBAL_TOL) -> ResidualRepor
             diff = t3.entry(a, b).matrix - acc
             worst = max(worst, max_abs(diff))
             scale = max(scale, max_abs(t3.entry(a, b).matrix))
-    report.add("coassociativity", worst / max(scale, 1e-300), tol)
+    report.add("coassociativity", scaled(worst, scale), tol)
     return report
 
 
@@ -398,7 +401,7 @@ def highest_weight_scan(f: BForm, N: int = 2, *, tol: float = 1e-8) -> Decomposi
     basis = np.array([squares["B1"], squares["B2"]]).T
     w = d_b3 @ tt
     coef, *_ = np.linalg.lstsq(basis, w, rcond=None)
-    b3_residual = float(np.linalg.norm(basis @ coef - w) / max(np.linalg.norm(w), 1e-300))
+    b3_residual = float(scaled(np.linalg.norm(basis @ coef - w), np.linalg.norm(w)))
 
     # four lowerings terminate on e_3 (x) e_3
     e3 = np.zeros(3, dtype=complex)
@@ -408,7 +411,7 @@ def highest_weight_scan(f: BForm, N: int = 2, *, tol: float = 1e-8) -> Decomposi
     for op in (d_b1, d_b2):
         v4 = np.linalg.matrix_power(op, 4) @ tt
         proj = (np.vdot(target, v4) / np.vdot(target, target)) * target
-        terminal = max(terminal, float(np.linalg.norm(v4 - proj) / max(np.linalg.norm(v4), 1e-300)))
+        terminal = max(terminal, float(scaled(np.linalg.norm(v4 - proj), np.linalg.norm(v4))))
 
     bvec = f.b.ravel().astype(complex)
     line_res = 0.0
@@ -423,7 +426,7 @@ def highest_weight_scan(f: BForm, N: int = 2, *, tol: float = 1e-8) -> Decomposi
             line_res = max(line_res, float(np.linalg.norm(v - proj) / vnorm))
 
     r = constant_R(f).mat
-    eig_res = float(max_abs(r @ bvec - (-1 / f.q) * bvec) / max(np.linalg.norm(bvec), 1e-300))
+    eig_res = float(scaled(max_abs(r @ bvec - (-1 / f.q) * bvec), np.linalg.norm(bvec)))
 
     report = ResidualReport(config={"family": f.family, "N": N})
     report.add("orbit_rank_8", float(abs(orbit_rank - 8)), 0.0)
@@ -456,5 +459,5 @@ def check_pminus_invariance(f: BForm, *, tol: float = GLOBAL_TOL) -> ResidualRep
             t = tower.dense_entry(a, b)
             worst = max(worst, max_abs(comp @ t @ pm))
             scale = max(scale, max_abs(t))
-    report.add("pminus_image_stable", worst / max(scale, 1e-300), tol)
+    report.add("pminus_image_stable", scaled(worst, scale), tol)
     return report

@@ -19,9 +19,17 @@ import scipy.sparse as sp
 
 from .bform import BForm
 from .errors import NormalizationFailure
-from .linalg import DENSE_SIZE_BUDGET, RANK_RTOL, check_size_budget, numerical_rank, rel_residual
+from .linalg import (
+    DENSE_SIZE_BUDGET,
+    RANK_RTOL,
+    check_size_budget,
+    max_abs,
+    numerical_rank,
+    rel_residual,
+    scaled,
+)
 from .rmatrix import projectors, spectral_R
-from .tl_rep import ChainOp
+from .tl_rep import ChainOp, embed
 
 # Catalan numbers above this N are outside the artifact's integer budget.
 CATALAN_MAX_N = 30
@@ -165,14 +173,23 @@ def quantum_plane_dims(f: BForm, d_max: int = 3, *, rank_rtol: float = RANK_RTOL
     return out
 
 
-def symmetrizer(f: BForm, N: int, *, budget: int = DENSE_SIZE_BUDGET, tol: float = 1e-8) -> ChainOp:
+@dataclass(frozen=True)
+class SymmetrizerResult:
+    """Top isotypic projector of N sites with its rank and idempotence residual."""
+
+    projector: ChainOp
+    rank: int
+    idempotence: float
+
+
+def symmetrizer(f: BForm, N: int, *, budget: int = DENSE_SIZE_BUDGET, tol: float = 1e-8) -> SymmetrizerResult:
     """Projector onto the top isotypic component of N sites.
 
     Recursion: starting from I - P_minus on two sites, multiply on the last
     bond by the Baxterized matrix at u = q^(N-1) and renormalize by
     lambda = tr(M^2)/tr(M) (the exact proportionality constant when M is a
-    scalar multiple of a projector).  The result is idempotent with rank
-    p_N(n).
+    scalar multiple of a projector).  The result must be idempotent within
+    ``tol`` with rank p_N(n); otherwise NormalizationFailure is raised.
     """
     n = f.n
     if N < 2:
@@ -182,11 +199,10 @@ def symmetrizer(f: BForm, N: int, *, budget: int = DENSE_SIZE_BUDGET, tol: float
     cur = p_plus.mat.copy()
     for m in range(3, N + 1):
         ext = np.kron(cur, np.eye(n, dtype=complex))
-        rm = spectral_R(f, f.q ** (m - 1)).op.mat
-        rme = np.kron(np.eye(n ** (m - 2), dtype=complex), rm)
+        rme = embed(spectral_R(f, f.q ** (m - 1)).op, m - 1, m, budget=budget).to_dense(budget)
         raw = ext @ rme @ ext
         trace = np.trace(raw)
-        if abs(trace) <= 1e-12 * max(np.max(np.abs(raw)), 1e-300) * raw.shape[0]:
+        if scaled(abs(trace), max_abs(raw) * raw.shape[0]) <= 1e-12:
             raise NormalizationFailure(f"symmetrizer at {m} sites has vanishing trace")
         lam = np.trace(raw @ raw) / trace
         cur = raw / lam
@@ -197,4 +213,5 @@ def symmetrizer(f: BForm, N: int, *, budget: int = DENSE_SIZE_BUDGET, tol: float
     expected = dims_p(n, N)[N]
     if rank != expected:
         raise NormalizationFailure(f"symmetrizer rank {rank} != p_N(n) = {expected}")
-    return ChainOp(n=n, N=N, matrix=sp.csr_matrix(cur), label=f"P+^{N}")
+    projector = ChainOp(n=n, N=N, matrix=sp.csr_matrix(cur), label=f"P+^{N}")
+    return SymmetrizerResult(projector=projector, rank=rank, idempotence=idem)

@@ -17,7 +17,7 @@ from .bform import BForm
 from .errors import DegenerateParameter, UnsupportedDimension, ZeroSpectralParameter
 from .linalg import GLOBAL_TOL, rel_residual
 from .reports import ResidualReport
-from .tl_rep import LocalOp, local_X
+from .tl_rep import LocalOp, embed, local_X
 
 # Candidate labels for the triple-term coefficient of the degree-3
 # antisymmetrizer; see q_antisymmetrizer.
@@ -75,16 +75,14 @@ def spectral_R(f: BForm, u: complex) -> SpectralR:
     return SpectralR(bform=f, u=u, op=LocalOp(f.n, mat, label=f"R(u={u:g})"))
 
 
-def _pair_embeds(mat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _on_three_sites(op: LocalOp) -> tuple[np.ndarray, np.ndarray]:
     """Dense placements of a two-site operator at sites (1,2) and (2,3) of three."""
-    eye = np.eye(n, dtype=complex)
-    return np.kron(mat, eye), np.kron(eye, mat)
+    return embed(op, 1, 3).to_dense(), embed(op, 2, 3).to_dense()
 
 
 def check_braid(f: BForm, *, tol: float = 1e-8) -> ResidualReport:
     """Residual of R12 R23 R12 - R23 R12 R23 on three sites."""
-    r = constant_R(f).mat
-    r12, r23 = _pair_embeds(r, f.n)
+    r12, r23 = _on_three_sites(constant_R(f))
     lhs = r12 @ r23 @ r12
     rhs = r23 @ r12 @ r23
     report = ResidualReport(config={"family": f.family, "n": f.n})
@@ -94,10 +92,10 @@ def check_braid(f: BForm, *, tol: float = 1e-8) -> ResidualReport:
 
 def check_spectral_ybe(f: BForm, u: complex, v: complex, *, tol: float = 1e-8) -> ResidualReport:
     """Residual of R12(u) R23(uv) R12(v) - R23(v) R12(uv) R23(u)."""
-    ru, ruv, rv = (spectral_R(f, z).op.mat for z in (u, u * v, v))
-    ru12, ru23 = _pair_embeds(ru, f.n)
-    ruv12, ruv23 = _pair_embeds(ruv, f.n)
-    rv12, rv23 = _pair_embeds(rv, f.n)
+    ru, ruv, rv = (spectral_R(f, z).op for z in (u, u * v, v))
+    ru12, ru23 = _on_three_sites(ru)
+    ruv12, ruv23 = _on_three_sites(ruv)
+    rv12, rv23 = _on_three_sites(rv)
     lhs = ru12 @ ruv23 @ rv12
     rhs = rv23 @ ruv12 @ ru23
     report = ResidualReport(config={"family": f.family, "n": f.n, "u": str(u), "v": str(v)})
@@ -109,21 +107,17 @@ def check_tl_cubic(f: BForm, *, tol: float = 1e-8) -> ResidualReport:
     """Both cubic identities: the Baxterized product at (q^-1, q^-2, q^-1)
     and the constant form (R_i - q)(nu R_k - q^2)(R_i - q), in both site orders."""
     q = f.q
-    n = f.n
-    eye3 = np.eye(n ** 3, dtype=complex)
+    eye3 = np.eye(f.n ** 3, dtype=complex)
     report = ResidualReport(config={"family": f.family, "n": f.n})
 
-    a = spectral_R(f, 1 / q).op.mat
-    b = spectral_R(f, 1 / q ** 2).op.mat
-    a12, a23 = _pair_embeds(a, n)
-    b12, b23 = _pair_embeds(b, n)
+    a12, a23 = _on_three_sites(spectral_R(f, 1 / q).op)
+    b12, b23 = _on_three_sites(spectral_R(f, 1 / q ** 2).op)
     # residuals are relative to the largest factor entry (|q| > 1 inflates
     # absolute products)
     report.add("cubic_spectral_121", rel_residual(a12 @ b23 @ a12, [a12, b23]), tol)
     report.add("cubic_spectral_212", rel_residual(a23 @ b12 @ a23, [a23, b12]), tol)
 
-    r = constant_R(f).mat
-    r12, r23 = _pair_embeds(r, n)
+    r12, r23 = _on_three_sites(constant_R(f))
     nu = f.nu
     for name, (ri, rk) in (("cubic_constant_121", (r12, r23)), ("cubic_constant_212", (r23, r12))):
         left = ri - q * eye3
@@ -156,10 +150,8 @@ def q_antisymmetrizer(f: BForm, *, tol: float = 1e-8) -> AntisymmetrizerResult:
     assumed.
     """
     q = f.q
-    n = f.n
-    r = constant_R(f).mat
-    r12, r23 = _pair_embeds(r, n)
-    eye = np.eye(n ** 3, dtype=complex)
+    r12, r23 = _on_three_sites(constant_R(f))
+    eye = np.eye(f.n ** 3, dtype=complex)
     base = eye - (r12 + r23) / q + (r12 @ r23 + r23 @ r12) / q ** 2
     triple = r12 @ r23 @ r12
 

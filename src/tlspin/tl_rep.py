@@ -4,24 +4,23 @@ The two-site generator is the rank-one operator X with entries
 X[(c,d),(x,y)] = b[c,d] * b_inv[x,y]; it satisfies X^2 = tau X for
 tau = tr(b^t b^{-1}), and X_j X_{j+-1} X_j = X_j holds for every invertible
 b with no further condition.  Chain operators are stored sparse (CSR) up to
-a size budget, with an optional matrix-free applier carried alongside.
+a size budget; ``embed`` is the one way a two-site operator is placed on a
+chain, and dense placements are its ``to_dense()``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
 from .bform import BForm
-from .errors import SizeBudgetExceeded
 from .linalg import (
     DENSE_SIZE_BUDGET,
     SPARSE_SIZE_BUDGET,
+    check_size_budget,
     max_abs,
-    power_norm_estimate,
     rel_residual,
     require_finite,
 )
@@ -46,86 +45,47 @@ class LocalOp:
 
 @dataclass(frozen=True)
 class ChainOp:
-    """Operator on (C^n)^(x)N: sparse storage and/or a matrix-free applier."""
+    """Operator on (C^n)^(x)N, stored as a sparse CSR matrix."""
 
     n: int
     N: int
-    matrix: sp.csr_matrix | None
-    applier: Callable[[np.ndarray], np.ndarray] | None = None
+    matrix: sp.csr_matrix
     label: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
-        if self.matrix is None and self.applier is None:
-            raise ValueError("ChainOp needs a sparse matrix, an applier, or both")
-        if self.matrix is not None and self.matrix.shape != (self.dim, self.dim):
+        if self.matrix.shape != (self.dim, self.dim):
             raise ValueError(f"ChainOp {self.label!r}: matrix shape {self.matrix.shape} != {self.dim}")
 
     @property
     def dim(self) -> int:
         return self.n ** self.N
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        if self.matrix is not None:
-            return self.matrix @ vec
-        return self.applier(vec)
-
     def to_dense(self, budget: int = DENSE_SIZE_BUDGET) -> np.ndarray:
-        if self.dim > budget:
-            raise SizeBudgetExceeded(
-                f"densifying {self.label or 'chain operator'}: dim {self.dim} > budget {budget}"
-            )
-        if self.matrix is not None:
-            return self.matrix.toarray()
-        cols = [self.apply(col) for col in np.eye(self.dim, dtype=complex).T]
-        return np.array(cols).T
-
-    def norm_est(self, seed: int = 0) -> float:
-        """max-abs entry norm when materialized, power-iteration estimate otherwise."""
-        if self.matrix is not None:
-            return max_abs(self.matrix)
-        return power_norm_estimate(self.applier, self.dim, seed=seed)
+        check_size_budget(self.dim, budget, f"densifying {self.label or 'chain operator'}")
+        return self.matrix.toarray()
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
-        if self.matrix is None:
-            return False
         return max_abs(self.matrix - self.matrix.conj().T) <= tol
 
-    def _combine(self, other: "ChainOp", mat, app, label: str) -> "ChainOp":
+    def _same_space(self, other: "ChainOp") -> sp.csr_matrix:
         if (self.n, self.N) != (other.n, other.N):
             raise ValueError("chain operators live on different spaces")
-        matrix = mat(self.matrix, other.matrix) if self.matrix is not None and other.matrix is not None else None
-        applier = None
-        if self.applier is not None and other.applier is not None:
-            applier = app(self.applier, other.applier)
-        if matrix is None and applier is None:
-            # fall back to whichever application route both sides support
-            applier = app(self.apply, other.apply)
-        return ChainOp(self.n, self.N, matrix, applier, label)
+        return other.matrix
 
     def __add__(self, other: "ChainOp") -> "ChainOp":
-        return self._combine(
-            other,
-            lambda a, b: (a + b).tocsr(),
-            lambda f, g: (lambda v: f(v) + g(v)),
-            f"({self.label}+{other.label})",
-        )
+        matrix = (self.matrix + self._same_space(other)).tocsr()
+        return ChainOp(self.n, self.N, matrix, f"({self.label}+{other.label})")
 
     def __sub__(self, other: "ChainOp") -> "ChainOp":
         return self + (-1.0) * other
 
     def __matmul__(self, other: "ChainOp") -> "ChainOp":
-        return self._combine(
-            other,
-            lambda a, b: (a @ b).tocsr(),
-            lambda f, g: (lambda v: f(g(v))),
-            f"({self.label}@{other.label})",
-        )
+        matrix = (self.matrix @ self._same_space(other)).tocsr()
+        return ChainOp(self.n, self.N, matrix, f"({self.label}@{other.label})")
 
     def __rmul__(self, scalar) -> "ChainOp":
         c = complex(scalar)
-        matrix = (c * self.matrix).tocsr() if self.matrix is not None else None
-        applier = (lambda v: c * self.applier(v)) if self.applier is not None else None
-        return ChainOp(self.n, self.N, matrix, applier, f"{c:g}*{self.label}")
+        return ChainOp(self.n, self.N, (c * self.matrix).tocsr(), f"{c:g}*{self.label}")
 
 
 def local_X(f: BForm) -> LocalOp:
@@ -137,8 +97,8 @@ def local_X(f: BForm) -> LocalOp:
 def embed(op: LocalOp, j: int, N: int, *, budget: int = SPARSE_SIZE_BUDGET) -> ChainOp:
     """Place a two-site operator on sites (j, j+1) of an N-site chain, 1-indexed.
 
-    Returns I^(x)(j-1) (x) op (x) I^(x)(N-j-1) in CSR form together with a
-    matrix-free applier; stored nonzeros equal nnz(op) * n^(N-2).
+    Returns I^(x)(j-1) (x) op (x) I^(x)(N-j-1) in CSR form; stored nonzeros
+    equal nnz(op) * n^(N-2).
     """
     n = op.n
     if N < 2:
@@ -146,19 +106,15 @@ def embed(op: LocalOp, j: int, N: int, *, budget: int = SPARSE_SIZE_BUDGET) -> C
     if not 1 <= j <= N - 1:
         raise ValueError(f"site index j={j} outside 1..{N - 1}")
     dim = n ** N
-    if dim > budget:
-        raise SizeBudgetExceeded(f"embed: n^N = {dim} exceeds sparse budget {budget}")
-    left = n ** (j - 1)
-    right = n ** (N - j - 1)
-    core = sp.csr_matrix(op.mat)
-    matrix = sp.kron(sp.identity(left), sp.kron(core, sp.identity(right)), format="csr")
-    mat_dense = op.mat
-
-    def applier(vec: np.ndarray, _l=left, _r=right, _m=mat_dense) -> np.ndarray:
-        t = np.asarray(vec, dtype=complex).reshape(_l, _m.shape[0], _r)
-        return np.einsum("ab,lbr->lar", _m, t).reshape(-1)
-
-    return ChainOp(n=n, N=N, matrix=matrix, applier=applier, label=f"{op.label}_{j}")
+    check_size_budget(dim, budget, "embed")
+    d, right = n * n, n ** (N - j - 1)
+    # nonzeros enumerated over (left, a, right, b): rows ascend, and columns
+    # ascend within each row, so the arrays are already canonical CSR
+    mask = np.broadcast_to((op.mat != 0)[None, :, None, :], (n ** (j - 1), d, right, d))
+    l, a, r, b = np.nonzero(mask)
+    indptr = np.searchsorted((l * d + a) * right + r, np.arange(dim + 1))
+    matrix = sp.csr_matrix((op.mat[a, b], (l * d + b) * right + r, indptr), shape=(dim, dim))
+    return ChainOp(n=n, N=N, matrix=matrix, label=f"{op.label}_{j}")
 
 
 def check_tl_relations(f: BForm, N: int, *, tol: float = 1e-10) -> ResidualReport:

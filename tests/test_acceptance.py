@@ -78,7 +78,7 @@ def test_criterion_04_two_site_decomposition(kls):
 
 def test_criterion_05_three_site_decomposition(kls):
     start = time.perf_counter()
-    proj = t.symmetrizer(kls, 3)
+    proj = t.symmetrizer(kls, 3).projector
     rank = numerical_rank(proj.to_dense())
     rep = t.spectrum(t.hamiltonian(kls, 3))
     clusters = sorted((c.value.real, c.multiplicity) for c in rep.clusters)

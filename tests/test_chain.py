@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tlspin as t
-from tlspin.chain import Cluster, SpectrumReport
+from tlspin.chain import CLUSTER_TOL_GENERAL, Cluster, SpectrumReport, _cluster_eigenvalues
 
 
 def dense_chain_oracle(f, N):
@@ -115,6 +117,23 @@ class TestSpectrum:
             ]
             assert len(members) == c.multiplicity
 
+    def test_interleaved_real_parts_stay_together(self):
+        # two clusters on one vertical line: sorted by real part, their
+        # members alternate, and each must still come out whole
+        rng = np.random.default_rng(3)
+        a = 1e-12 * rng.normal(size=6) + 0j
+        b = 1e-12 * rng.normal(size=4) + 1.5j
+        clusters = _cluster_eigenvalues(np.concatenate([a, b]), 1e-6)
+        assert [c.multiplicity for c in clusters] == [6, 4]
+        assert clusters[0].value == complex(np.mean(np.sort(a.real)))
+
+    def test_kls_shared_real_parts(self):
+        # p = 1 + 1j: the clusters at 0 and near 1.5j share a real part
+        f = t.builtin_bform("kls", 1 + 1j)
+        rep = t.spectrum(t.hamiltonian(f, 3))
+        assert sorted(c.multiplicity for c in rep.clusters) == [3, 3, 21]
+        assert t.check_isotypic(rep, t.decomposition_table(3, 3)).per_k == {1: 2, 3: 1}
+
     def test_budget(self, xxz):
         h = t.hamiltonian(xxz, 13)
         with pytest.raises(t.SizeBudgetExceeded):
@@ -156,6 +175,12 @@ class TestIsotypic:
             asg = t.check_isotypic(rep, t.decomposition_table(n, N))
             assert asg.per_k == t.mult_nu(N)
 
+    def test_xxz_imaginary_q(self):
+        f = t.builtin_bform("xxz", 2j)
+        for N in (6, 7):
+            rep = t.spectrum(t.hamiltonian(f, N))
+            assert t.check_isotypic(rep, t.decomposition_table(2, N)).per_k == t.mult_nu(N)
+
     def test_non_hermitian_path(self):
         # complex p: general eigensolver, looser clustering, same bookkeeping
         f = t.builtin_bform("kls", 1 + 0.5j)
@@ -188,3 +213,23 @@ class TestGlobalWeight:
     def test_kls_chains(self, kls):
         for N in (3, 4):
             assert t.check_global_weight_symmetry(kls, N).max_residual <= 1e-10
+
+
+def _haar(rng, n):
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@settings(max_examples=20, deadline=2000, derandomize=True, database=None)
+@given(p=st.floats(1.1, 3.0), seed=st.integers(0, 2 ** 32 - 1), N=st.integers(2, 4))
+def test_gauge_keeps_cluster_multiplicities(p, seed, N):
+    # M b M^t conjugates H by M^(x)N: a non-Hermitian H with the same spectrum.
+    # M has condition number 2, so the eigenvalue error stays far below the tolerance.
+    f = t.builtin_bform("kls", p)
+    rng = np.random.default_rng(seed)
+    g = t.gauge_transform(f, _haar(rng, 3) @ np.diag([1.0, 1.5, 2.0]) @ _haar(rng, 3))
+    ref = t.spectrum(t.hamiltonian(f, N), CLUSTER_TOL_GENERAL)
+    rep = t.spectrum(t.hamiltonian(g, N))
+    assert not rep.hermitian and rep.cluster_tol == CLUSTER_TOL_GENERAL
+    assert sorted(c.multiplicity for c in rep.clusters) == sorted(c.multiplicity for c in ref.clusters)

@@ -1,11 +1,14 @@
 """Command-line interface: exit codes, report schema, output formats."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import tlspin as t
 from tlspin.cli import main, parse_complex
 
 
@@ -125,6 +128,12 @@ class TestSpectrumCommand:
         assert lines[0] == "re,im"
         assert len(lines) == 5  # one row per eigenvalue of the 4-dim space
 
+    def test_shared_real_parts_pass(self, capsys):
+        code, out, _ = run_cli(capsys, "spectrum", "--family", "kls", "--p", "1+1j", "--N", "3")
+        assert code == 0
+        mults = sorted(c["multiplicity"] for c in json.loads(out)["tables"]["spectrum"]["clusters"])
+        assert mults == [3, 3, 21]
+
 
 class TestDecomposeCommand:
     def test_table(self, capsys):
@@ -183,6 +192,23 @@ class TestOtherCommands:
         assert code == 0
         assert json.loads(out)["tables"]["symmetrizer"]["rank"] == 21
 
+    def test_symmetrizer_reports_library_result(self, capsys):
+        code, out, _ = run_cli(capsys, "symmetrizer", "--family", "xxz", "--q", "3", "--N", "4")
+        body = json.loads(out)
+        lib = t.symmetrizer(t.builtin_bform("xxz", 3), 4)
+        residuals = {c["name"]: c["residual"] for c in body["checks"]}
+        assert code == 0
+        assert body["tables"]["symmetrizer"]["rank"] == lib.rank
+        assert residuals["symmetrizer_idempotent"] == lib.idempotence
+
+    def test_grouplike_residual_shared_by_verify_and_casimir(self, capsys):
+        source = ("--family", "kls", "--p", "1.5+0.5j")
+        reports = [json.loads(run_cli(capsys, *cmd, *source)[1]) for cmd in (("verify", "--N", "3"), ("casimir",))]
+        grouplike = [next(c for c in r["checks"] if c["name"] == "casimir_grouplike") for r in reports]
+        assert grouplike[0] == grouplike[1]
+        lib = t.casimir_grouplike(t.builtin_bform("kls", 1.5 + 0.5j))[2]
+        assert grouplike[0]["residual"] == lib.checks[-1].residual
+
     def test_text_format(self, capsys):
         code, out, _ = run_cli(capsys, "poincare", "--n", "3", "--K", "3", "--format", "text")
         assert "[PASS]" in out
@@ -191,10 +217,14 @@ class TestOtherCommands:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # the child finds the package where this process found it, installed or not
+        src = str(Path(t.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "tlspin", "decompose", "--n", "3", "--N", "2"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["exit"] == 0

@@ -152,7 +152,7 @@ class TestSymmetrizer:
         from tlspin.linalg import numerical_rank
 
         for N, expected in ((2, 8), (3, 21), (4, 55)):
-            proj = t.symmetrizer(kls, N)
+            proj = t.symmetrizer(kls, N).projector
             dense = proj.to_dense()
             assert numerical_rank(dense) == expected
             assert np.max(np.abs(dense @ dense - dense)) <= 1e-8 * max(1.0, np.max(np.abs(dense)))
@@ -160,11 +160,11 @@ class TestSymmetrizer:
     def test_xxz_rank(self, xxz):
         from tlspin.linalg import numerical_rank
 
-        proj = t.symmetrizer(xxz, 3)
+        proj = t.symmetrizer(xxz, 3).projector
         assert numerical_rank(proj.to_dense()) == t.dims_p(2, 3)[3]
 
     def test_commutes_with_tower(self, kls):
-        proj = t.symmetrizer(kls, 3).to_dense()
+        proj = t.symmetrizer(kls, 3).projector.to_dense()
         tower = t.coproduct_T(kls, 3)
         scale = max(
             np.max(np.abs(tower.dense_entry(a, b))) for a in range(3) for b in range(3)
