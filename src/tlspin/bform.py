@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateParameter, SingularMatrix
-from .linalg import GLOBAL_TOL, as_complex_matrix, max_abs, require_finite
+from .linalg import GLOBAL_TOL, as_complex_matrix, max_abs, require_finite, scaled
 
 # Moduli closer than this are treated as a tie (both roots on the unit circle).
 _MODULUS_TIE_TOL = 1e-9
@@ -59,7 +59,9 @@ class BForm:
         resid = max_abs(self.b @ self.b_inv - np.eye(self.n))
         if resid > GLOBAL_TOL:
             raise SingularMatrix(f"b * b_inv deviates from identity by {resid:.3e}")
-        if abs(self.q + 1 / self.q + self.tau) > 1e-12:
+        # relative to the larger of |q| and |tau|: at large tau the rounding of
+        # q + 1/q alone exceeds any absolute threshold
+        if scaled(abs(self.q + 1 / self.q + self.tau), max(abs(self.q), abs(self.tau))) > 1e-12:
             raise ValueError("q is not a root of q^2 + tau*q + 1 = 0")
         self.b.setflags(write=False)
         self.b_inv.setflags(write=False)

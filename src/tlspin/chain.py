@@ -184,36 +184,67 @@ def check_isotypic(report: SpectrumReport, table: DecompositionTable) -> Isotypi
     """Match cluster multiplicities against the decomposition table.
 
     Finds non-negative integers a[cluster, k] with every cluster multiplicity
-    equal to sum_k a p_k(n) and the per-k totals equal to nu_k(N); exact
-    backtracking over the (small) cluster list.
+    equal to sum_k a p_k(n) and the per-k totals equal to nu_k(N).  The
+    depth-first search visits clusters in ascending multiplicity.  Clusters
+    of equal multiplicity are interchangeable, so along them the index of
+    the chosen decomposition never decreases, and a state (position, first
+    index, remaining nu) that failed once is not searched again.  Each
+    decomposition is reported at its cluster's own position.
     """
     if (report.n, report.N) != (table.n, table.N):
         raise ValueError("spectrum and table describe different (n, N)")
     dims = sorted(((r.k, r.p_k) for r in table.rows), key=lambda t: -t[1])
-    remaining = {r.k: r.nu_k for r in table.rows}
-    clusters = list(report.clusters)
-    assignment: list[dict] = []
+    nu = {r.k: r.nu_k for r in table.rows}
+    keys = sorted(nu)
+    clusters = report.clusters
+    order = sorted(range(len(clusters)), key=lambda i: clusters[i].multiplicity)
+    mults = [clusters[i].multiplicity for i in order]
+    options = {m: [tuple(c.get(k, 0) for k in keys) for c in _decompositions(m, dims, nu)] for m in set(mults)}
 
-    def solve(idx: int) -> bool:
-        if idx == len(clusters):
-            return all(v == 0 for v in remaining.values())
-        target = clusters[idx].multiplicity
-        for combo in _decompositions(target, dims, dict(remaining)):
-            for k, a in combo.items():
-                remaining[k] -= a
-            assignment.append(combo)
-            if solve(idx + 1):
-                return True
-            assignment.pop()
-            for k, a in combo.items():
-                remaining[k] += a
-        return False
+    def steps(pos: int, first: int, remaining: tuple):
+        """(option index, remaining nu after it) for each feasible choice at pos."""
+        opts = options[mults[pos]]
+        for idx in range(first, len(opts)):
+            rest = tuple(r - a for r, a in zip(remaining, opts[idx]))
+            if min(rest) >= 0:
+                yield idx, rest
 
-    if not solve(0):
+    # an explicit stack: one frame per cluster would come close to Python's
+    # default recursion limit of 1000 (up to 924 clusters at n = 2, N = 12)
+    root = (0, 0, tuple(nu[k] for k in keys))
+    stack = [(root, steps(*root))] if order else []
+    chosen: list[int] = []  # option index per position; one fewer than the stack
+    solved = False
+    failed: set = set()
+    while stack and not solved:
+        state, pending = stack[-1]
+        pos = state[0]
+        step = next(pending, None)
+        if step is None:
+            failed.add(state)
+            stack.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        idx, rest = step
+        if pos + 1 == len(order):
+            solved = not any(rest)
+            if solved:
+                chosen.append(idx)
+            continue
+        child = (pos + 1, idx if mults[pos + 1] == mults[pos] else 0, rest)
+        if child not in failed:
+            chosen.append(idx)
+            stack.append((child, steps(*child)))
+    if not solved:
         detail = ", ".join(f"{c.value:.6g} x{c.multiplicity}" for c in clusters)
         raise NoConsistentAssignment(
             f"no integer assignment for clusters [{detail}] against p_k/nu_k of (n={table.n}, N={table.N})"
         )
+    assignment: list = [None] * len(clusters)
+    for pos, idx in enumerate(chosen):
+        combo = options[mults[pos]][idx]
+        assignment[order[pos]] = {k: a for k, a in zip(keys, combo) if a}
     per_k = {r.k: sum(d.get(r.k, 0) for d in assignment) for r in table.rows}
     return IsotypicAssignment(per_cluster=tuple(assignment), per_k=per_k)
 

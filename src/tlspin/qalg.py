@@ -9,7 +9,13 @@ algebra of the open chain: they commute with every braid generator
 R_{k,k+1} and hence with the chain Hamiltonian.
 
 Chain site index increases rightward in Kronecker products, so at N = 2 the
-entry T(2)[a, b] equals sum_k L[k, b] (x) L[a, k].
+entry T(2)[a, b] equals sum_k L[k, b] (x) L[a, k].  In general each new site
+enters as a Kronecker sum,
+
+    T(m)[a, b] = sum_k T(m-1)[k, b] (x) L[a, k],
+
+which is the auxiliary-space product (I (x) L[a, k]) @ (T(m-1)[k, b] (x) I)
+with its single-term entries written out, so no sparse product is formed.
 """
 
 from __future__ import annotations
@@ -119,9 +125,13 @@ def generator_blocks(f: BForm) -> GeneratorSet:
 def coproduct_T(f: BForm, N: int, *, budget: int = SPARSE_SIZE_BUDGET) -> AuxOperatorMatrix:
     """The N-fold coproduct tower T(N) as an auxiliary-space grid.
 
-    Built iteratively: T(1) is the block grid of L, and T(m) contracts a
-    fresh L placed on site m (the leftmost auxiliary factor) with T(m-1),
-    T(m)[a, b] = sum_k (I (x) ... (x) L[a, k]) @ (T(m-1)[k, b] (x) I).
+    Built iteratively: T(1) is the block grid of L, and the L of each
+    further site m (rightmost in the Kronecker product, leftmost in the
+    auxiliary product) enters by the Kronecker sum
+    T(m)[a, b] = sum_k T(m-1)[k, b] (x) L[a, k].
+    By the mixed-product rule this equals
+    sum_k (I (x) L[a, k]) @ (T(m-1)[k, b] (x) I), whose entries are each a
+    single product, so no sparse product is formed.
     """
     n = f.n
     if N < 1:
@@ -129,26 +139,26 @@ def coproduct_T(f: BForm, N: int, *, budget: int = SPARSE_SIZE_BUDGET) -> AuxOpe
     check_size_budget(n ** N, budget, "coproduct_T")
     blocks = _l_blocks(f)
     sparse_blocks = [[sp.csr_matrix(blocks[a, b]) for b in range(n)] for a in range(n)]
-    grid = [[sparse_blocks[a][b] for b in range(n)] for a in range(n)]
-    for m in range(2, N + 1):
-        left_eye = sp.identity(n ** (m - 1), format="csr")
-        site_ops = [[sp.kron(left_eye, sparse_blocks[a][k], format="csr") for k in range(n)] for a in range(n)]
-        new_grid = []
-        for a in range(n):
-            row = []
-            for b in range(n):
-                acc = None
-                for k in range(n):
-                    term = site_ops[a][k] @ sp.kron(grid[k][b], sp.identity(n), format="csr")
-                    acc = term if acc is None else acc + term
-                row.append(acc.tocsr())
-            new_grid.append(row)
-        grid = new_grid
+    grid = sparse_blocks
+    for _ in range(2, N + 1):
+        grid = [
+            [_kron_sum([(grid[k][b], sparse_blocks[a][k]) for k in range(n)]) for b in range(n)]
+            for a in range(n)
+        ]
     entries = tuple(
         tuple(ChainOp(n=n, N=N, matrix=grid[a][b], label=f"T{N}[{a + 1},{b + 1}]") for b in range(n))
         for a in range(n)
     )
     return AuxOperatorMatrix(n_a=n, N=N, entries=entries)
+
+
+def _kron_sum(pairs) -> sp.csr_matrix:
+    """sum over (x, y) in pairs of x (x) y, in CSR, added in the order given."""
+    acc = None
+    for x, y in pairs:
+        term = sp.kron(x, y, format="csr")
+        acc = term if acc is None else acc + term
+    return acc
 
 
 def check_centralizer(f: BForm, N: int, *, tol: float = 1e-8) -> ResidualReport:
@@ -330,21 +340,14 @@ def check_coassociativity(f: BForm, *, tol: float = GLOBAL_TOL) -> ResidualRepor
     t3 = coproduct_T(f, 3)
     t2 = coproduct_T(f, 2)
     blocks = _l_blocks(f)
-    eye_site = sp.identity(n, format="csr")
-    eye_two = sp.identity(n ** 2, format="csr")
     report = ResidualReport(config={"family": f.family, "n": f.n})
     worst = 0.0
     scale = 0.0
     for a in range(n):
         for b in range(n):
-            # T(2) placed on sites 2,3 times a single L on site 1
-            acc = None
-            for k in range(n):
-                term = sp.kron(eye_site, t2.entry(a, k).matrix, format="csr") @ sp.kron(
-                    sp.csr_matrix(blocks[k, b]), eye_two, format="csr"
-                )
-                acc = term if acc is None else acc + term
-            diff = t3.entry(a, b).matrix - acc
+            # a single L on site 1 times T(2) placed on sites 2,3
+            pairs = [(sp.csr_matrix(blocks[k, b]), t2.entry(a, k).matrix) for k in range(n)]
+            diff = t3.entry(a, b).matrix - _kron_sum(pairs)
             worst = max(worst, max_abs(diff))
             scale = max(scale, max_abs(t3.entry(a, b).matrix))
     report.add("coassociativity", scaled(worst, scale), tol)

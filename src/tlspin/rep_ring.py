@@ -4,9 +4,10 @@ All sequences here are exact integers: the irreducible dimensions p_k(n)
 from the three-term recurrence n p_k = p_{k+1} + p_{k-1} (Chebyshev of the
 second kind evaluated at n/2), the multiplicities nu_k(N) from the
 Bratteli path recurrence, Catalan numbers, and the power-series
-coefficients of 1/(1 - n t + t^2).  The numerical members - graded
-dimensions of the quadratic-algebra quotients and the symmetrizer tower -
-reproduce these integers via numerical rank computations.
+coefficients of 1/(1 - n t + t^2).  The numerical members reproduce these
+integers: the graded dimensions of the quadratic-algebra quotients through
+numerical ranks, and the symmetrizer tower through the trace of its
+projector, read only once the projector is verified idempotent.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .linalg import (
     scaled,
 )
 from .rmatrix import projectors, spectral_R
-from .tl_rep import ChainOp, embed
+from .tl_rep import ChainOp
 
 # Catalan numbers above this N are outside the artifact's integer budget.
 CATALAN_MAX_N = 30
@@ -188,8 +189,12 @@ def symmetrizer(f: BForm, N: int, *, budget: int = DENSE_SIZE_BUDGET, tol: float
     Recursion: starting from I - P_minus on two sites, multiply on the last
     bond by the Baxterized matrix at u = q^(N-1) and renormalize by
     lambda = tr(M^2)/tr(M) (the exact proportionality constant when M is a
-    scalar multiple of a projector).  The result must be idempotent within
-    ``tol`` with rank p_N(n); otherwise NormalizationFailure is raised.
+    scalar multiple of a projector).  Both factors act locally: R(u) on the
+    last two column indices, and the previous projector on all but the
+    last, so no chain-sized Kronecker product is multiplied.  The result
+    must be idempotent within ``tol``; its rank is then its trace, which
+    must be an integer and equal p_N(n).  Otherwise NormalizationFailure is
+    raised.
     """
     n = f.n
     if N < 2:
@@ -198,18 +203,24 @@ def symmetrizer(f: BForm, N: int, *, budget: int = DENSE_SIZE_BUDGET, tol: float
     p_plus, _ = projectors(f)
     cur = p_plus.mat.copy()
     for m in range(3, N + 1):
+        d = n ** m
         ext = np.kron(cur, np.eye(n, dtype=complex))
-        rme = embed(spectral_R(f, f.q ** (m - 1)).op, m - 1, m, budget=budget).to_dense(budget)
-        raw = ext @ rme @ ext
+        # ext @ (I (x) R(u)): R(u) mixes the last two column indices
+        half = (ext.reshape(-1, n * n) @ spectral_R(f, f.q ** (m - 1)).op.mat).reshape(d, d // n, n)
+        # half @ (cur (x) I): cur contracts the column index of the first m - 1 sites
+        raw = np.tensordot(half, cur, axes=(1, 0)).transpose(0, 2, 1).reshape(d, d)
         trace = np.trace(raw)
         if scaled(abs(trace), max_abs(raw) * raw.shape[0]) <= 1e-12:
             raise NormalizationFailure(f"symmetrizer at {m} sites has vanishing trace")
-        lam = np.trace(raw @ raw) / trace
+        lam = np.sum(raw * raw.T) / trace  # tr(raw @ raw) without the product
         cur = raw / lam
     idem = rel_residual(cur @ cur - cur, [cur])
     if idem > tol:
         raise NormalizationFailure(f"normalized symmetrizer is not idempotent (residual {idem:.3e})")
-    rank = numerical_rank(cur)
+    trace = np.trace(cur)
+    rank = int(round(trace.real))
+    if abs(trace - rank) > 1e-6:
+        raise NormalizationFailure(f"idempotent symmetrizer has non-integer trace {trace:.6g}")
     expected = dims_p(n, N)[N]
     if rank != expected:
         raise NormalizationFailure(f"symmetrizer rank {rank} != p_N(n) = {expected}")

@@ -93,6 +93,18 @@ class TestBuiltinFamilies:
         f = t.builtin_bform("kls", 1)
         assert abs(f.tau - 3) <= 1e-14
 
+    def test_kls_large_p_builds(self):
+        # at tau ~ p^2 the rounding of q + 1/q exceeds 1e-12 in absolute terms
+        for p in (70, 100, 150, 300, 1e3):
+            f = t.builtin_bform("kls", p)
+            assert abs(f.q + 1 / f.q + f.tau) <= 1e-12 * abs(f.tau)
+
+    def test_wrong_root_rejected(self):
+        good = t.builtin_bform("kls", 70)
+        for q in (good.q * (1 + 1e-9), good.q + 1, -good.q):
+            with pytest.raises(ValueError, match="not a root"):
+                t.BForm(n=3, b=good.b.copy(), b_inv=good.b_inv.copy(), tau=good.tau, q=q)
+
     def test_kls_degenerate_tau(self):
         # p^2 + p^-2 = 1 puts tau exactly at 2
         p = cmath.exp(1j * cmath.pi / 6)

@@ -1,5 +1,7 @@
 """Chain Hamiltonian assembly, spectra, and isotypic multiplicity matching."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,14 @@ def dense_chain_oracle(f, N):
                 term = np.kron(term, np.eye(n, dtype=complex))
         total += term
     return total
+
+
+def histogram_report(n, N):
+    """nu_k(N) clusters of multiplicity p_k(n) each, largest multiplicity first."""
+    table = t.decomposition_table(n, N)
+    mults = sorted((r.p_k for r in table.rows for _ in range(r.nu_k)), reverse=True)
+    clusters = tuple(Cluster(float(i) + 0j, m) for i, m in enumerate(mults))
+    return SpectrumReport(n=n, N=N, clusters=clusters, total=sum(mults), hermitian=True, cluster_tol=1e-8), table
 
 
 def cluster_map(report):
@@ -207,6 +217,42 @@ class TestIsotypic:
         )
         with pytest.raises(t.NoConsistentAssignment):
             t.check_isotypic(fake, t.decomposition_table(3, 2))
+
+    @pytest.mark.parametrize("n, N", [(2, 8), (2, 10), (2, 12), (3, 7)])
+    def test_descending_histogram_in_bounded_time(self, n, N):
+        # small multiplicities also decompose into smaller p_k, which an
+        # unordered search tries first and backtracks over exponentially
+        rep, table = histogram_report(n, N)
+        start = time.perf_counter()
+        asg = t.check_isotypic(rep, table)
+        assert time.perf_counter() - start <= 2.0
+        assert asg.per_k == t.mult_nu(N)
+        p = t.dims_p(n, N)
+        for cluster, combo in zip(rep.clusters, asg.per_cluster):
+            assert sum(a * p[k] for k, a in combo.items()) == cluster.multiplicity
+
+    def test_xxz_negative_q_eight_sites(self):
+        rep = t.spectrum(t.hamiltonian(t.builtin_bform("xxz", -2), 8))
+        start = time.perf_counter()
+        asg = t.check_isotypic(rep, t.decomposition_table(2, 8))
+        assert time.perf_counter() - start <= 2.0
+        assert asg.per_k == t.mult_nu(8)
+
+    def test_infeasible_histogram_rejected_in_bounded_time(self):
+        # one cluster of 7 and one of 9 both become 8: the sizes still sum to
+        # n^N and each decomposes alone, but no assignment meets the nu_k totals
+        rep, table = histogram_report(2, 12)
+        mults = [c.multiplicity for c in rep.clusters]
+        mults[mults.index(7)] = 8
+        mults[mults.index(9)] = 8
+        bad = SpectrumReport(
+            n=2, N=12, clusters=tuple(Cluster(c.value, m) for c, m in zip(rep.clusters, mults)),
+            total=rep.total, hermitian=True, cluster_tol=1e-8,
+        )
+        start = time.perf_counter()
+        with pytest.raises(t.NoConsistentAssignment):
+            t.check_isotypic(bad, table)
+        assert time.perf_counter() - start <= 2.0
 
 
 class TestGlobalWeight:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import tlspin as t
 from tlspin.linalg import flip_operator
@@ -31,6 +32,50 @@ def kls_p2_l_literal(q=KLS_P2_Q, p=2.0):
     L[7, 5] = q
     L[8, 8] = q
     return L
+
+
+def aux_product_oracle(f, N):
+    """T(N) as dense blocks of the auxiliary-space product L_{0N} ... L_{02} L_{01}.
+
+    L_{0j} carries L on the auxiliary space and on chain site j, the j-th
+    Kronecker factor of the chain; T(N)[a, b] is block (a, b) of the product.
+    """
+    n = f.n
+    lm = l_matrix(f).mat
+    dim = n ** N
+    total = np.eye(n * dim, dtype=complex)
+    for j in range(1, N + 1):
+        site = np.zeros((n * dim, n * dim), dtype=complex)
+        for a in range(n):
+            for k in range(n):
+                e_ak = np.zeros((n, n))
+                e_ak[a, k] = 1.0
+                block = lm[a * n:(a + 1) * n, k * n:(k + 1) * n]
+                placed = np.kron(np.kron(np.eye(n ** (j - 1)), block), np.eye(n ** (N - j)))
+                site += np.kron(e_ak, placed)
+        total = site @ total
+    return [[total[a * dim:(a + 1) * dim, b * dim:(b + 1) * dim] for b in range(n)] for a in range(n)]
+
+
+def kron_matmul_tower(f, N):
+    """The former assembly: sum_k (I (x) L[a, k]) @ (T(m-1)[k, b] (x) I), by sparse products."""
+    n = f.n
+    blocks = [[sp.csr_matrix(t.l_operator(f).dense_entry(a, b)) for b in range(n)] for a in range(n)]
+    grid = blocks
+    for m in range(2, N + 1):
+        eye = sp.identity(n ** (m - 1), format="csr")
+        new_grid = []
+        for a in range(n):
+            row = []
+            for b in range(n):
+                acc = None
+                for k in range(n):
+                    term = sp.kron(eye, blocks[a][k], format="csr") @ sp.kron(grid[k][b], sp.identity(n), format="csr")
+                    acc = term if acc is None else acc + term
+                row.append(acc.tocsr())
+            new_grid.append(row)
+        grid = new_grid
+    return grid
 
 
 class TestLOperator:
@@ -91,6 +136,30 @@ class TestCoproduct:
         }
         for (a, b), mat in expected.items():
             assert np.max(np.abs(tower.dense_entry(a, b) - mat)) <= 1e-12
+
+    def test_matches_aux_product_oracle(self, kls, xxz, random_bform):
+        cases = [kls, t.builtin_bform("kls", 1.5 + 0.5j), xxz, random_bform(610, 3), random_bform(611, 4)]
+        for f in cases:
+            for N in range(1, 5):
+                tower = t.coproduct_T(f, N)
+                oracle = aux_product_oracle(f, N)
+                scale = max(np.max(np.abs(o)) for row in oracle for o in row)
+                for a in range(f.n):
+                    for b in range(f.n):
+                        err = np.max(np.abs(tower.dense_entry(a, b) - oracle[a][b]))
+                        assert err <= 1e-12 * scale, (f.family, f.n, N, a, b)
+
+    def test_real_families_equal_kron_matmul_exactly(self, kls, xxz):
+        # each product entry is a single term, so for real entries the sums agree bit for bit
+        for f, n_max in ((kls, 5), (xxz, 7)):
+            for N in range(2, n_max + 1):
+                tower = t.coproduct_T(f, N)
+                old = kron_matmul_tower(f, N)
+                for a in range(f.n):
+                    for b in range(f.n):
+                        got = tower.entry(a, b).matrix
+                        assert got.nnz == old[a][b].nnz
+                        assert np.array_equal(got.toarray(), old[a][b].toarray())
 
     def test_coassociativity(self, kls, xxz):
         assert t.check_coassociativity(kls).passed

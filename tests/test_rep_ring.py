@@ -7,6 +7,7 @@ import pytest
 from scipy.special import eval_chebyu
 
 import tlspin as t
+from tlspin.linalg import numerical_rank
 
 
 def paths_to_level(N):
@@ -20,6 +21,18 @@ def paths_to_level(N):
                     nxt[k2] = nxt.get(k2, 0) + c
         counts = nxt
     return dict(sorted(counts.items()))
+
+
+def dense_kron_symmetrizer(f, N):
+    """Symmetrizer recursion with explicit dense Kronecker placements and products."""
+    n = f.n
+    cur = t.projectors(f)[0].mat
+    for m in range(3, N + 1):
+        ext = np.kron(cur, np.eye(n))
+        rme = np.kron(np.eye(n ** (m - 2)), t.spectral_R(f, f.q ** (m - 1)).op.mat)
+        raw = ext @ rme @ ext
+        cur = raw * np.trace(raw) / np.trace(raw @ raw)
+    return cur
 
 
 class TestDims:
@@ -149,8 +162,6 @@ class TestQuantumPlaneDims:
 
 class TestSymmetrizer:
     def test_kls_ranks(self, kls):
-        from tlspin.linalg import numerical_rank
-
         for N, expected in ((2, 8), (3, 21), (4, 55)):
             proj = t.symmetrizer(kls, N).projector
             dense = proj.to_dense()
@@ -158,8 +169,6 @@ class TestSymmetrizer:
             assert np.max(np.abs(dense @ dense - dense)) <= 1e-8 * max(1.0, np.max(np.abs(dense)))
 
     def test_xxz_rank(self, xxz):
-        from tlspin.linalg import numerical_rank
-
         proj = t.symmetrizer(xxz, 3).projector
         assert numerical_rank(proj.to_dense()) == t.dims_p(2, 3)[3]
 
@@ -177,3 +186,18 @@ class TestSymmetrizer:
     def test_budget(self, kls):
         with pytest.raises(t.SizeBudgetExceeded):
             t.symmetrizer(kls, 8)
+
+    def test_trace_rank_equals_numerical_rank(self, kls, xxz, random_bform):
+        cases = [(kls, range(3, 6)), (xxz, range(3, 9)), (random_bform(300, 3), range(3, 5))]
+        for f, sizes in cases:
+            for N in sizes:
+                res = t.symmetrizer(f, N)
+                assert res.rank == numerical_rank(res.projector.to_dense()) == t.dims_p(f.n, N)[N]
+
+    def test_matches_dense_kron_recursion(self, kls, xxz, random_bform):
+        cases = [(kls, 5), (t.builtin_bform("kls", 1.5 + 0.5j), 5), (xxz, 7), (random_bform(301, 3), 4)]
+        for f, N_max in cases:
+            for N in range(2, N_max + 1):
+                got = t.symmetrizer(f, N).projector.to_dense()
+                want = dense_kron_symmetrizer(f, N)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (f.family, N)
