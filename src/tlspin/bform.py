@@ -171,22 +171,23 @@ def builtin_bform(
     raise ValueError(f"unknown family {family!r} (expected 'kls' or 'xxz')")
 
 
-def gauge_transform(f: BForm, m, *, tol: float = GLOBAL_TOL) -> BForm:
+def gauge_transform(f: BForm, m) -> BForm:
     """BForm built from the congruence M b M^t.
 
     Trace cyclicity makes tau (hence q) exactly invariant, so both scalars
     are carried over rather than recomputed through the transformed inverse;
-    the two-site generator transforms by conjugation with M (x) M.
+    the two-site generator transforms by conjugation with M (x) M.  M and
+    M b M^t count as singular when sigma_min <= GLOBAL_TOL * sigma_max.
     """
     mat = as_complex_matrix(m, "M")
     if mat.shape != (f.n, f.n):
         raise ValueError(f"M must be {f.n} x {f.n}")
     s = np.linalg.svd(mat, compute_uv=False)
-    if s[-1] <= tol * s[0]:
+    if s[-1] <= GLOBAL_TOL * s[0]:
         raise SingularMatrix("gauge matrix M is singular at the working tolerance")
     b2 = mat @ f.b @ mat.T
     s2 = np.linalg.svd(b2, compute_uv=False)
-    if s2[-1] <= tol * s2[0]:
+    if s2[-1] <= GLOBAL_TOL * s2[0]:
         raise SingularMatrix("transformed matrix is singular at the working tolerance")
     return BForm(n=f.n, b=b2, b_inv=np.linalg.inv(b2), tau=f.tau, q=f.q)
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .bform import BForm
 from .errors import ConvergenceFailure, NoConsistentAssignment
-from .linalg import DENSE_SIZE_BUDGET, SPARSE_SIZE_BUDGET, check_size_budget, rel_residual
+from .linalg import GLOBAL_TOL, SPARSE_SIZE_BUDGET, check_size_budget, rel_residual
 from .reports import ResidualReport, complex_to_pair
 from .rep_ring import DecompositionTable
 from .rmatrix import weight_operator
@@ -23,20 +23,18 @@ from .tl_rep import ChainOp, LocalOp, embed, local_X
 CLUSTER_TOL_HERMITIAN = 1e-8
 CLUSTER_TOL_GENERAL = 1e-6
 
-HERMITICITY_TOL = 1e-12
 
+def hamiltonian(f: BForm, N: int) -> ChainOp:
+    """H = sum over bonds of the embedded two-site generator, in sparse form.
 
-def hamiltonian(f: BForm, N: int, *, budget: int = SPARSE_SIZE_BUDGET) -> ChainOp:
-    """H = sum over bonds of the embedded two-site generator, in sparse form."""
+    n^N must lie within SPARSE_SIZE_BUDGET; the bonds are added left to right.
+    """
     if N < 2:
         raise ValueError("chain needs N >= 2")
-    check_size_budget(f.n ** N, budget, "hamiltonian")
+    check_size_budget(f.n ** N, SPARSE_SIZE_BUDGET, "hamiltonian")
     x = local_X(f)
-    total = None
-    for j in range(1, N):
-        xj = embed(x, j, N, budget=budget)
-        total = xj if total is None else total + xj
-    return ChainOp(n=f.n, N=N, matrix=total.matrix, label="H")
+    matrix = sum((embed(x, j, N).matrix for j in range(2, N)), embed(x, 1, N).matrix)
+    return ChainOp(n=f.n, N=N, matrix=matrix, label="H")
 
 
 @dataclass(frozen=True)
@@ -111,20 +109,18 @@ def _cluster_eigenvalues(values: np.ndarray, tol: float) -> list[Cluster]:
     return clusters
 
 
-def spectrum(
-    h: ChainOp,
-    cluster_tol: float | None = None,
-    *,
-    budget: int = DENSE_SIZE_BUDGET,
-) -> SpectrumReport:
+def spectrum(h: ChainOp, cluster_tol: float | None = None) -> SpectrumReport:
     """Full eigenvalue list of a chain operator, clustered by single linkage.
 
-    Uses the Hermitian solver when the operator is Hermitian at the working
-    tolerance (tighter default clustering); the general solver otherwise.
+    Uses the Hermitian solver when the operator is Hermitian (tighter
+    default clustering); the general solver otherwise.  The operator is
+    densified within DENSE_SIZE_BUDGET.  An explicit ``cluster_tol`` must be
+    finite and positive, or ValueError is raised.
     """
-    check_size_budget(h.dim, budget, "spectrum")
-    dense = h.to_dense(budget=budget)
-    hermitian = h.is_hermitian(HERMITICITY_TOL)
+    if cluster_tol is not None and not 0 < cluster_tol < np.inf:
+        raise ValueError(f"cluster_tol must be finite and positive, got {cluster_tol}")
+    dense = h.to_dense()
+    hermitian = h.is_hermitian()
     if cluster_tol is None:
         cluster_tol = CLUSTER_TOL_HERMITIAN if hermitian else CLUSTER_TOL_GENERAL
     try:
@@ -249,8 +245,8 @@ def check_isotypic(report: SpectrumReport, table: DecompositionTable) -> Isotypi
     return IsotypicAssignment(per_cluster=tuple(assignment), per_k=per_k)
 
 
-def check_global_weight_symmetry(f: BForm, N: int, *, tol: float = 1e-10) -> ResidualReport:
-    """[H, sum_j h_j] for the antidiagonal family's diagonal weight h."""
+def check_global_weight_symmetry(f: BForm, N: int) -> ResidualReport:
+    """[H, sum_j h_j] for the antidiagonal family's diagonal weight h, within GLOBAL_TOL (1e-10)."""
     h_local = weight_operator(f.n)
     eye = np.eye(f.n)
     # h at sites 1..N-1 via the left slot of each bond, site N via the last right slot
@@ -263,6 +259,6 @@ def check_global_weight_symmetry(f: BForm, N: int, *, tol: float = 1e-10) -> Res
     report.add(
         "weight_symmetry_global",
         rel_residual(hm @ weight - weight @ hm, [hm @ weight, weight @ hm]),
-        tol,
+        GLOBAL_TOL,
     )
     return report

@@ -26,7 +26,7 @@ class UnsupportedDimension(TLSpinError):
 
 
 class ConventionMismatch(TLSpinError):
-    """No contraction ordering produced a scalar Casimir."""
+    """The Casimir contraction is not a scalar within its threshold."""
 
 
 class NoConsistentAssignment(TLSpinError):

@@ -17,6 +17,11 @@ from .errors import SizeBudgetExceeded
 # Global working tolerance (epsilon) for identity residuals.
 GLOBAL_TOL = 1e-10
 
+# Threshold of the identities whose residuals go through products of several
+# three-site, chain-sized or tower operators: braid, Yang-Baxter, cubic,
+# antisymmetrizer, RLL, centralizer, Casimir and symmetrizer idempotence.
+PRODUCT_TOL = 1e-8
+
 # Largest n**N for which chain operators are materialized in sparse form.
 SPARSE_SIZE_BUDGET = 20000
 
@@ -55,7 +60,7 @@ def require_finite(arr, label: str) -> None:
         raise ValueError(f"{label} contains NaN or Inf entries")
 
 
-def as_complex_matrix(a, label: str = "matrix") -> np.ndarray:
+def as_complex_matrix(a, label: str) -> np.ndarray:
     """Validated square complex matrix copy."""
     m = np.array(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -78,10 +83,10 @@ def check_size_budget(dim: int, budget: int, what: str) -> None:
         raise SizeBudgetExceeded(f"{what}: dimension {dim} exceeds budget {budget}")
 
 
-def numerical_rank(a: np.ndarray, rtol: float = RANK_RTOL) -> int:
-    """Count of singular values above rtol * sigma_max."""
+def numerical_rank(a: np.ndarray) -> int:
+    """Count of singular values above RANK_RTOL * sigma_max."""
     s = np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > rtol * s[0]))
+    return int(np.sum(s > RANK_RTOL * s[0]))
 

@@ -30,6 +30,7 @@ from .chain import hamiltonian
 from .errors import ConventionMismatch, UnsupportedDimension
 from .linalg import (
     GLOBAL_TOL,
+    PRODUCT_TOL,
     SPARSE_SIZE_BUDGET,
     check_size_budget,
     flip_operator,
@@ -122,7 +123,7 @@ def generator_blocks(f: BForm) -> GeneratorSet:
     return GeneratorSet(blocks=named)
 
 
-def coproduct_T(f: BForm, N: int, *, budget: int = SPARSE_SIZE_BUDGET) -> AuxOperatorMatrix:
+def coproduct_T(f: BForm, N: int) -> AuxOperatorMatrix:
     """The N-fold coproduct tower T(N) as an auxiliary-space grid.
 
     Built iteratively: T(1) is the block grid of L, and the L of each
@@ -131,12 +132,13 @@ def coproduct_T(f: BForm, N: int, *, budget: int = SPARSE_SIZE_BUDGET) -> AuxOpe
     T(m)[a, b] = sum_k T(m-1)[k, b] (x) L[a, k].
     By the mixed-product rule this equals
     sum_k (I (x) L[a, k]) @ (T(m-1)[k, b] (x) I), whose entries are each a
-    single product, so no sparse product is formed.
+    single product, so no sparse product is formed.  n^N must lie within
+    SPARSE_SIZE_BUDGET.
     """
     n = f.n
     if N < 1:
         raise ValueError("coproduct tower needs N >= 1")
-    check_size_budget(n ** N, budget, "coproduct_T")
+    check_size_budget(n ** N, SPARSE_SIZE_BUDGET, "coproduct_T")
     blocks = _l_blocks(f)
     sparse_blocks = [[sp.csr_matrix(blocks[a, b]) for b in range(n)] for a in range(n)]
     grid = sparse_blocks
@@ -161,12 +163,12 @@ def _kron_sum(pairs) -> sp.csr_matrix:
     return acc
 
 
-def check_centralizer(f: BForm, N: int, *, tol: float = 1e-8) -> ResidualReport:
+def check_centralizer(f: BForm, N: int) -> ResidualReport:
     """Commutators of every R_{k,k+1} and of H with every tower entry.
 
     Reports one relative residual per (k, a, b) triple plus one per (a, b)
-    for the Hamiltonian; all must vanish for the tower to centralize the
-    braid generators.
+    for the Hamiltonian, each against PRODUCT_TOL (1e-8); all must vanish
+    for the tower to centralize the braid generators.
     """
     if N < 2:
         raise ValueError("centralizer check needs N >= 2")
@@ -185,13 +187,13 @@ def check_centralizer(f: BForm, N: int, *, tol: float = 1e-8) -> ResidualReport:
             for b in range(f.n):
                 t = tower.entry(a, b).matrix
                 comm = rk @ t - t @ rk
-                report.add(f"centralizer_R{k}_T[{a + 1},{b + 1}]", scaled(max_abs(comm), scale), tol)
+                report.add(f"centralizer_R{k}_T[{a + 1},{b + 1}]", scaled(max_abs(comm), scale), PRODUCT_TOL)
     h_scale = max_abs(h) * tower_scale
     for a in range(f.n):
         for b in range(f.n):
             t = tower.entry(a, b).matrix
             comm = h @ t - t @ h
-            report.add(f"centralizer_H_T[{a + 1},{b + 1}]", scaled(max_abs(comm), h_scale), tol)
+            report.add(f"centralizer_H_T[{a + 1},{b + 1}]", scaled(max_abs(comm), h_scale), PRODUCT_TOL)
     return report
 
 
@@ -200,17 +202,20 @@ class CasimirResult:
     """Scalar central value extracted from the bilinear contraction of L."""
 
     c2: complex
-    ordering: str
     grid: np.ndarray
     report: ResidualReport
 
+    @property
+    def ordering(self) -> str:
+        """The contraction convention: "direct", L[j, k] to the left of L[b, l]."""
+        return "direct"
 
-def _casimir_grid(f: BForm, blocks: np.ndarray, ordering: str) -> np.ndarray:
-    """C[a, b] = sum_{j,k,l} b_inv[a, j] b[k, l] * (op products per ordering)."""
+
+def _casimir_grid(f: BForm, blocks: np.ndarray) -> np.ndarray:
+    """C[a, b] = sum_{j,k,l} b_inv[a, j] b[k, l] * (L[j, k] @ L[b, l])."""
     n = f.n
     dim = blocks[0][0].shape[0]
     out = np.zeros((n, n, dim, dim), dtype=complex)
-    # contract the scalar factors first: W[j, l] = sum_k b[k, l] ... done inline
     for a in range(n):
         for b_ in range(n):
             acc = np.zeros((dim, dim), dtype=complex)
@@ -220,10 +225,7 @@ def _casimir_grid(f: BForm, blocks: np.ndarray, ordering: str) -> np.ndarray:
                         coef = f.b_inv[a, j] * f.b[k, l]
                         if coef == 0:
                             continue
-                        if ordering == "direct":
-                            acc += coef * (blocks[j][k] @ blocks[b_][l])
-                        else:
-                            acc += coef * (blocks[b_][l] @ blocks[j][k])
+                        acc += coef * (blocks[j][k] @ blocks[b_][l])
             out[a, b_] = acc
     return out
 
@@ -242,65 +244,46 @@ def _scalar_fit(grid: np.ndarray) -> tuple[complex, float]:
     return complex(c2), scaled(worst, max_abs(grid))
 
 
-def casimir(
-    f: BForm,
-    *,
-    aux: AuxOperatorMatrix | None = None,
-    ordering: str = "auto",
-    tol: float = 1e-8,
-) -> CasimirResult:
+def casimir(f: BForm, *, aux: AuxOperatorMatrix | None = None) -> CasimirResult:
     """Contract b^{-1} . L . b . L^t over the auxiliary space and fit a scalar.
 
-    The contraction C[a, b] = sum_{jkl} b_inv[a, j] L[j, k] b[k, l] L[b, l]
-    must equal c2 * delta_ab * I for a single scalar c2.  Both operator
-    orderings of the entry product are tried ('direct' applies L[j, k]
-    first, matching the left-to-right reading of the sum; 'reversed'
-    otherwise); if neither yields a scalar the check fails loudly with both
-    misfits.  For the antidiagonal family the scalar additionally equals q,
-    which is asserted in the report.
+    The contraction C[a, b] = sum_{jkl} b_inv[a, j] L[j, k] b[k, l] L[b, l],
+    with each operator product read left to right, must equal
+    c2 * delta_ab * I for a single scalar c2: the relative misfit must be
+    within PRODUCT_TOL (1e-8), or ConventionMismatch is raised with it.  For
+    the antidiagonal family the one-site scalar additionally equals q, which
+    is asserted in the report against the same threshold.
     """
     grid_ops = aux if aux is not None else l_operator(f)
     dense = [[grid_ops.dense_entry(a, b) for b in range(f.n)] for a in range(f.n)]
-    orders = [ordering] if ordering in ("direct", "reversed") else ["direct", "reversed"]
-    misfits = {}
-    chosen = None
-    for order in orders:
-        grid = _casimir_grid(f, dense, order)
-        c2, misfit = _scalar_fit(grid)
-        misfits[order] = misfit
-        if misfit <= tol:
-            chosen = (order, grid, c2, misfit)
-            break
-    if chosen is None:
-        raise ConventionMismatch(
-            "no contraction ordering yields a scalar Casimir; relative misfits: "
-            + ", ".join(f"{k}={v:.3e}" for k, v in misfits.items())
-        )
-    order, grid, c2, misfit = chosen
-    report = ResidualReport(config={"family": f.family, "n": f.n, "ordering": order})
-    report.add("casimir_scalar", misfit, tol)
+    grid = _casimir_grid(f, dense)
+    c2, misfit = _scalar_fit(grid)
+    if misfit > PRODUCT_TOL:
+        raise ConventionMismatch(f"the contraction yields no scalar Casimir; relative misfit {misfit:.3e}")
+    report = ResidualReport(config={"family": f.family, "n": f.n})
+    report.add("casimir_scalar", misfit, PRODUCT_TOL)
     if f.family == "kls" and grid_ops.N == 1:
-        report.add("casimir_value_q", scaled(abs(c2 - f.q), abs(f.q)), tol)
-    return CasimirResult(c2=c2, ordering=order, grid=grid, report=report)
+        report.add("casimir_value_q", scaled(abs(c2 - f.q), abs(f.q)), PRODUCT_TOL)
+    return CasimirResult(c2=c2, grid=grid, report=report)
 
 
-def casimir_grouplike(f: BForm, *, tol: float = 1e-8) -> tuple[CasimirResult, CasimirResult, ResidualReport]:
+def casimir_grouplike(f: BForm) -> tuple[CasimirResult, CasimirResult, ResidualReport]:
     """The one-site Casimir c2, the two-site one, and their checks.
 
     The Casimir is group-like: its value on the two-site tower T(2) must be
-    c2^2.  The report holds the one-site checks followed by
-    ``casimir_grouplike``.
+    c2^2 within PRODUCT_TOL (1e-8).  The report holds the one-site checks
+    followed by ``casimir_grouplike``.
     """
     cas = casimir(f)
     cas2 = casimir(f, aux=coproduct_T(f, 2))
     report = ResidualReport(config=dict(cas.report.config))
     report.extend(cas.report)
-    report.add("casimir_grouplike", scaled(abs(cas2.c2 - cas.c2 ** 2), abs(cas.c2 ** 2)), tol)
+    report.add("casimir_grouplike", scaled(abs(cas2.c2 - cas.c2 ** 2), abs(cas.c2 ** 2)), PRODUCT_TOL)
     return cas, cas2, report
 
 
-def casimir_combination(f: BForm, *, tol: float = 1e-8) -> ResidualReport:
-    """The explicit antidiagonal-family combination p(A3 A1/p + C2 B1 + p C3 B3) = c2 I."""
+def casimir_combination(f: BForm) -> ResidualReport:
+    """The kls combination p(A3 A1/p + C2 B1 + p C3 B3) = c2 I, within PRODUCT_TOL (1e-8)."""
     if f.family != "kls" or f.p is None:
         raise UnsupportedDimension("the explicit combination is specific to the kls family")
     g = generator_blocks(f)
@@ -308,34 +291,30 @@ def casimir_combination(f: BForm, *, tol: float = 1e-8) -> ResidualReport:
     comb = p * ((1 / p) * g["A3"] @ g["A1"] + g["C2"] @ g["B1"] + p * g["C3"] @ g["B3"])
     target = f.q * np.eye(3, dtype=complex)
     report = ResidualReport(config={"family": f.family})
-    report.add("casimir_combination", rel_residual(comb - target, [comb, target]), tol)
+    report.add("casimir_combination", rel_residual(comb - target, [comb, target]), PRODUCT_TOL)
     return report
 
 
-def check_rll(f: BForm, *, tol: float = 1e-8) -> ResidualReport:
-    """Exchange relation R12 L1 L2 = L1 L2 R12 on aux (x) aux (x) quantum."""
-    n = f.n
-    blocks = _l_blocks(f)
-    eye = np.eye(n, dtype=complex)
-    dim = n ** 3
-    l1 = np.zeros((dim, dim), dtype=complex)
-    l2 = np.zeros((dim, dim), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            e_ab = np.zeros((n, n), dtype=complex)
-            e_ab[a, b] = 1.0
-            l1 += np.kron(e_ab, np.kron(eye, blocks[a, b]))
-            l2 += np.kron(eye, np.kron(e_ab, blocks[a, b]))
-    r12 = np.kron(constant_R(f).mat, eye)
+def check_rll(f: BForm) -> ResidualReport:
+    """Exchange relation R12 L1 L2 = L1 L2 R12 on aux (x) aux (x) quantum, within PRODUCT_TOL (1e-8).
+
+    L2 is L on sites (2, 3); L1 is L on sites (1, 3), the placement on
+    (1, 2) conjugated by the flip of sites 2 and 3.
+    """
+    l = l_matrix(f)
+    p23 = embed(LocalOp(f.n, flip_operator(f.n), label="P"), 2, 3).matrix
+    l1 = p23 @ embed(l, 1, 3).to_dense() @ p23
+    l2 = embed(l, 2, 3).to_dense()
+    r12 = embed(constant_R(f), 1, 3).to_dense()
     lhs = r12 @ l1 @ l2
     rhs = l1 @ l2 @ r12
     report = ResidualReport(config={"family": f.family, "n": f.n})
-    report.add("rll", rel_residual(lhs - rhs, [lhs, rhs]), tol)
+    report.add("rll", rel_residual(lhs - rhs, [lhs, rhs]), PRODUCT_TOL)
     return report
 
 
-def check_coassociativity(f: BForm, *, tol: float = GLOBAL_TOL) -> ResidualReport:
-    """T(3) built site-3-first equals T(3) built site-1-last."""
+def check_coassociativity(f: BForm) -> ResidualReport:
+    """T(3) built site-3-first equals T(3) built site-1-last, within GLOBAL_TOL (1e-10)."""
     n = f.n
     t3 = coproduct_T(f, 3)
     t2 = coproduct_T(f, 2)
@@ -350,7 +329,7 @@ def check_coassociativity(f: BForm, *, tol: float = GLOBAL_TOL) -> ResidualRepor
             diff = t3.entry(a, b).matrix - _kron_sum(pairs)
             worst = max(worst, max_abs(diff))
             scale = max(scale, max_abs(t3.entry(a, b).matrix))
-    report.add("coassociativity", scaled(worst, scale), tol)
+    report.add("coassociativity", scaled(worst, scale), GLOBAL_TOL)
     return report
 
 
@@ -367,18 +346,18 @@ class DecompositionEvidence:
     report: ResidualReport
 
 
-def highest_weight_scan(f: BForm, N: int = 2, *, tol: float = 1e-8) -> DecompositionEvidence:
+def highest_weight_scan(f: BForm) -> DecompositionEvidence:
     """Orbit of the two-site reference vector under the lowering entries.
 
     Starting from theta (x) theta with theta = e_1, the iterated actions of
     the lowering blocks T(2)[1,2] and T(2)[2,3] span an (n^2 - 1)-dimensional
     subspace, the remaining direction being the invariant line spanned by the
-    flattened b matrix, on which R acts with eigenvalue -1/q.
+    flattened b matrix, on which R acts with eigenvalue -1/q.  The orbit
+    rank must be exactly 8, the eigenvalue residual within GLOBAL_TOL
+    (1e-10) and the other residuals within PRODUCT_TOL (1e-8).
     """
     if f.n != 3 or f.family != "kls":
         raise UnsupportedDimension("highest-weight scan is implemented for the kls family")
-    if N != 2:
-        raise ValueError("the orbit scan is defined at N = 2")
     tower = coproduct_T(f, 2)
     d_b1 = tower.dense_entry(0, 1)
     d_b2 = tower.dense_entry(1, 2)
@@ -431,12 +410,12 @@ def highest_weight_scan(f: BForm, N: int = 2, *, tol: float = 1e-8) -> Decomposi
     r = constant_R(f).mat
     eig_res = float(scaled(max_abs(r @ bvec - (-1 / f.q) * bvec), np.linalg.norm(bvec)))
 
-    report = ResidualReport(config={"family": f.family, "N": N})
+    report = ResidualReport(config={"family": f.family, "N": 2})
     report.add("orbit_rank_8", float(abs(orbit_rank - 8)), 0.0)
-    report.add("b3_in_double_lowering_span", b3_residual, tol)
-    report.add("lowering_terminates_on_e3e3", terminal, tol)
-    report.add("invariant_line_stability", line_res, tol)
-    report.add("invariant_line_eigenvalue", eig_res, 1e-10)
+    report.add("b3_in_double_lowering_span", b3_residual, PRODUCT_TOL)
+    report.add("lowering_terminates_on_e3e3", terminal, PRODUCT_TOL)
+    report.add("invariant_line_stability", line_res, PRODUCT_TOL)
+    report.add("invariant_line_eigenvalue", eig_res, GLOBAL_TOL)
     return DecompositionEvidence(
         orbit_rank=orbit_rank,
         singular_values=svals,
@@ -448,8 +427,8 @@ def highest_weight_scan(f: BForm, N: int = 2, *, tol: float = 1e-8) -> Decomposi
     )
 
 
-def check_pminus_invariance(f: BForm, *, tol: float = GLOBAL_TOL) -> ResidualReport:
-    """The rank-one projector image is stable under every T(2) entry."""
+def check_pminus_invariance(f: BForm) -> ResidualReport:
+    """The rank-one projector image is stable under every T(2) entry, within GLOBAL_TOL (1e-10)."""
     tower = coproduct_T(f, 2)
     _, p_minus = projectors(f)
     pm = p_minus.mat
@@ -462,5 +441,5 @@ def check_pminus_invariance(f: BForm, *, tol: float = GLOBAL_TOL) -> ResidualRep
             t = tower.dense_entry(a, b)
             worst = max(worst, max_abs(comp @ t @ pm))
             scale = max(scale, max_abs(t))
-    report.add("pminus_image_stable", scaled(worst, scale), tol)
+    report.add("pminus_image_stable", scaled(worst, scale), GLOBAL_TOL)
     return report

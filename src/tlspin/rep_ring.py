@@ -22,6 +22,7 @@ from .bform import BForm
 from .errors import NormalizationFailure
 from .linalg import (
     DENSE_SIZE_BUDGET,
+    PRODUCT_TOL,
     RANK_RTOL,
     check_size_budget,
     max_abs,
@@ -29,6 +30,7 @@ from .linalg import (
     rel_residual,
     scaled,
 )
+from .reports import ResidualReport
 from .rmatrix import projectors, spectral_R
 from .tl_rep import ChainOp
 
@@ -141,12 +143,13 @@ def poincare_series(n: int, K: int) -> list[int]:
     return coeffs
 
 
-def quantum_plane_dims(f: BForm, d_max: int = 3, *, rank_rtol: float = RANK_RTOL) -> dict:
+def quantum_plane_dims(f: BForm, d_max: int = 3) -> dict:
     """Graded dimensions of the two quadratic-algebra quotients of T(V).
 
     ``sym``: quotient by the single relation spanned by the flattened b
     inverse (expected p_d(n) in degree d); ``ext``: quotient by the image
-    of the complementary projector (expected 1, n, 1, 0, ...).
+    of the complementary projector (expected 1, n, 1, 0, ...).  Ranks
+    count singular values above RANK_RTOL * sigma_max.
     """
     if d_max > 4:
         raise ValueError("graded dimensions are tabulated up to degree 4")
@@ -155,7 +158,7 @@ def quantum_plane_dims(f: BForm, d_max: int = 3, *, rank_rtol: float = RANK_RTOL
     rel_sym = f.b_inv.ravel().reshape(-1, 1).astype(complex)
     p_plus, _ = projectors(f)
     u, s, _ = np.linalg.svd(p_plus.mat)
-    r = int(np.sum(s > rank_rtol * s[0]))
+    r = int(np.sum(s > RANK_RTOL * s[0]))
     rel_ext = u[:, :r]
     out = {}
     for name, rel in (("sym", rel_sym), ("ext", rel_ext)):
@@ -169,21 +172,23 @@ def quantum_plane_dims(f: BForm, d_max: int = 3, *, rank_rtol: float = RANK_RTOL
                 for i in range(d - 1)
             ]
             stacked = np.hstack(cols)
-            dims.append(n ** d - numerical_rank(stacked, rtol=rank_rtol))
+            dims.append(n ** d - numerical_rank(stacked))
         out[name] = dims
     return out
 
 
 @dataclass(frozen=True)
 class SymmetrizerResult:
-    """Top isotypic projector of N sites with its rank and idempotence residual."""
+    """Top isotypic projector of N sites with its rank, idempotence residual
+    and the report rows ``symmetrizer_idempotent`` and ``symmetrizer_rank``."""
 
     projector: ChainOp
     rank: int
     idempotence: float
+    report: ResidualReport
 
 
-def symmetrizer(f: BForm, N: int, *, budget: int = DENSE_SIZE_BUDGET, tol: float = 1e-8) -> SymmetrizerResult:
+def symmetrizer(f: BForm, N: int) -> SymmetrizerResult:
     """Projector onto the top isotypic component of N sites.
 
     Recursion: starting from I - P_minus on two sites, multiply on the last
@@ -191,15 +196,15 @@ def symmetrizer(f: BForm, N: int, *, budget: int = DENSE_SIZE_BUDGET, tol: float
     lambda = tr(M^2)/tr(M) (the exact proportionality constant when M is a
     scalar multiple of a projector).  Both factors act locally: R(u) on the
     last two column indices, and the previous projector on all but the
-    last, so no chain-sized Kronecker product is multiplied.  The result
-    must be idempotent within ``tol``; its rank is then its trace, which
-    must be an integer and equal p_N(n).  Otherwise NormalizationFailure is
-    raised.
+    last, so no chain-sized Kronecker product is multiplied.  n^N must lie
+    within DENSE_SIZE_BUDGET.  The result must be idempotent within
+    PRODUCT_TOL (1e-8); its rank is then its trace, which must be an integer
+    and equal p_N(n).  Otherwise NormalizationFailure is raised.
     """
     n = f.n
     if N < 2:
         raise ValueError("symmetrizer tower starts at N = 2")
-    check_size_budget(n ** N, budget, "symmetrizer")
+    check_size_budget(n ** N, DENSE_SIZE_BUDGET, "symmetrizer")
     p_plus, _ = projectors(f)
     cur = p_plus.mat.copy()
     for m in range(3, N + 1):
@@ -215,7 +220,7 @@ def symmetrizer(f: BForm, N: int, *, budget: int = DENSE_SIZE_BUDGET, tol: float
         lam = np.sum(raw * raw.T) / trace  # tr(raw @ raw) without the product
         cur = raw / lam
     idem = rel_residual(cur @ cur - cur, [cur])
-    if idem > tol:
+    if idem > PRODUCT_TOL:
         raise NormalizationFailure(f"normalized symmetrizer is not idempotent (residual {idem:.3e})")
     trace = np.trace(cur)
     rank = int(round(trace.real))
@@ -224,5 +229,8 @@ def symmetrizer(f: BForm, N: int, *, budget: int = DENSE_SIZE_BUDGET, tol: float
     expected = dims_p(n, N)[N]
     if rank != expected:
         raise NormalizationFailure(f"symmetrizer rank {rank} != p_N(n) = {expected}")
+    report = ResidualReport(config={"family": f.family, "n": n, "N": N})
+    report.add("symmetrizer_idempotent", idem, PRODUCT_TOL)
+    report.add("symmetrizer_rank", float(abs(rank - expected)), 0.0)
     projector = ChainOp(n=n, N=N, matrix=sp.csr_matrix(cur), label=f"P+^{N}")
-    return SymmetrizerResult(projector=projector, rank=rank, idempotence=idem)
+    return SymmetrizerResult(projector=projector, rank=rank, idempotence=idem, report=report)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .bform import BForm
 from .errors import DegenerateParameter, UnsupportedDimension, ZeroSpectralParameter
-from .linalg import GLOBAL_TOL, rel_residual
+from .linalg import GLOBAL_TOL, PRODUCT_TOL, rel_residual
 from .reports import ResidualReport
 from .tl_rep import LocalOp, embed, local_X
 
@@ -80,18 +80,18 @@ def _on_three_sites(op: LocalOp) -> tuple[np.ndarray, np.ndarray]:
     return embed(op, 1, 3).to_dense(), embed(op, 2, 3).to_dense()
 
 
-def check_braid(f: BForm, *, tol: float = 1e-8) -> ResidualReport:
-    """Residual of R12 R23 R12 - R23 R12 R23 on three sites."""
+def check_braid(f: BForm) -> ResidualReport:
+    """Residual of R12 R23 R12 - R23 R12 R23 on three sites, against PRODUCT_TOL (1e-8)."""
     r12, r23 = _on_three_sites(constant_R(f))
     lhs = r12 @ r23 @ r12
     rhs = r23 @ r12 @ r23
     report = ResidualReport(config={"family": f.family, "n": f.n})
-    report.add("braid", rel_residual(lhs - rhs, [lhs, rhs]), tol)
+    report.add("braid", rel_residual(lhs - rhs, [lhs, rhs]), PRODUCT_TOL)
     return report
 
 
-def check_spectral_ybe(f: BForm, u: complex, v: complex, *, tol: float = 1e-8) -> ResidualReport:
-    """Residual of R12(u) R23(uv) R12(v) - R23(v) R12(uv) R23(u)."""
+def check_spectral_ybe(f: BForm, u: complex, v: complex) -> ResidualReport:
+    """Residual of R12(u) R23(uv) R12(v) - R23(v) R12(uv) R23(u), against PRODUCT_TOL (1e-8)."""
     ru, ruv, rv = (spectral_R(f, z).op for z in (u, u * v, v))
     ru12, ru23 = _on_three_sites(ru)
     ruv12, ruv23 = _on_three_sites(ruv)
@@ -99,13 +99,14 @@ def check_spectral_ybe(f: BForm, u: complex, v: complex, *, tol: float = 1e-8) -
     lhs = ru12 @ ruv23 @ rv12
     rhs = rv23 @ ruv12 @ ru23
     report = ResidualReport(config={"family": f.family, "n": f.n, "u": str(u), "v": str(v)})
-    report.add("spectral_ybe", rel_residual(lhs - rhs, [lhs, rhs]), tol)
+    report.add("spectral_ybe", rel_residual(lhs - rhs, [lhs, rhs]), PRODUCT_TOL)
     return report
 
 
-def check_tl_cubic(f: BForm, *, tol: float = 1e-8) -> ResidualReport:
+def check_tl_cubic(f: BForm) -> ResidualReport:
     """Both cubic identities: the Baxterized product at (q^-1, q^-2, q^-1)
-    and the constant form (R_i - q)(nu R_k - q^2)(R_i - q), in both site orders."""
+    and the constant form (R_i - q)(nu R_k - q^2)(R_i - q), in both site
+    orders, each against PRODUCT_TOL (1e-8)."""
     q = f.q
     eye3 = np.eye(f.n ** 3, dtype=complex)
     report = ResidualReport(config={"family": f.family, "n": f.n})
@@ -114,15 +115,15 @@ def check_tl_cubic(f: BForm, *, tol: float = 1e-8) -> ResidualReport:
     b12, b23 = _on_three_sites(spectral_R(f, 1 / q ** 2).op)
     # residuals are relative to the largest factor entry (|q| > 1 inflates
     # absolute products)
-    report.add("cubic_spectral_121", rel_residual(a12 @ b23 @ a12, [a12, b23]), tol)
-    report.add("cubic_spectral_212", rel_residual(a23 @ b12 @ a23, [a23, b12]), tol)
+    report.add("cubic_spectral_121", rel_residual(a12 @ b23 @ a12, [a12, b23]), PRODUCT_TOL)
+    report.add("cubic_spectral_212", rel_residual(a23 @ b12 @ a23, [a23, b12]), PRODUCT_TOL)
 
     r12, r23 = _on_three_sites(constant_R(f))
     nu = f.nu
     for name, (ri, rk) in (("cubic_constant_121", (r12, r23)), ("cubic_constant_212", (r23, r12))):
         left = ri - q * eye3
         mid = nu * rk - q ** 2 * eye3
-        report.add(name, rel_residual(left @ mid @ left, [left, mid]), tol)
+        report.add(name, rel_residual(left @ mid @ left, [left, mid]), PRODUCT_TOL)
     return report
 
 
@@ -139,14 +140,14 @@ class AntisymmetrizerResult:
     report: ResidualReport
 
 
-def q_antisymmetrizer(f: BForm, *, tol: float = 1e-8) -> AntisymmetrizerResult:
+def q_antisymmetrizer(f: BForm) -> AntisymmetrizerResult:
     """Determine which triple-term coefficient annihilates the antisymmetrizer.
 
     Builds A3(c) = I - q^-1 (R12 + R23) + q^-2 (R12 R23 + R23 R12) - c R12 R23 R12
     and evaluates the candidates c = q^-1, c = q^-3 and the least-squares
     best fit; the returned winner is the unique named candidate with
-    relative residual <= tol (falling back to the best fit if none or both
-    qualify).  The vanishing coefficient is resolved numerically rather than
+    relative residual <= PRODUCT_TOL (1e-8), falling back to the best fit
+    if none or both qualify.  The vanishing coefficient is resolved numerically rather than
     assumed.
     """
     q = f.q
@@ -165,13 +166,13 @@ def q_antisymmetrizer(f: BForm, *, tol: float = 1e-8) -> AntisymmetrizerResult:
         a3 = base - c * triple
         residuals[name] = rel_residual(a3, scale_terms + [c * triple])
 
-    named_hits = [name for name in ANTISYM_CANDIDATES if residuals[name] <= tol]
+    named_hits = [name for name in ANTISYM_CANDIDATES if residuals[name] <= PRODUCT_TOL]
     winner = named_hits[0] if len(named_hits) == 1 else "best-fit"
     coeff = candidates[winner]
     a3 = base - coeff * triple
 
     report = ResidualReport(config={"family": f.family, "n": f.n})
-    report.add(f"antisym_vanishing[{winner}]", residuals[winner], tol)
+    report.add(f"antisym_vanishing[{winner}]", residuals[winner], PRODUCT_TOL)
     report.add("antisym_unique_named_candidate", float(abs(len(named_hits) - 1)), 0.0)
     return AntisymmetrizerResult(
         op=a3,
@@ -184,8 +185,8 @@ def q_antisymmetrizer(f: BForm, *, tol: float = 1e-8) -> AntisymmetrizerResult:
     )
 
 
-def check_unitarity(f: BForm, u: complex, *, tol: float = GLOBAL_TOL) -> ResidualReport:
-    """Regression guard: R(u) R(1/u) against its closed scalar form."""
+def check_unitarity(f: BForm, u: complex) -> ResidualReport:
+    """Regression guard: R(u) R(1/u) against its closed scalar form, within GLOBAL_TOL (1e-10)."""
     w = spectral_weight
     q = f.q
     x = local_X(f).mat
@@ -194,7 +195,7 @@ def check_unitarity(f: BForm, u: complex, *, tol: float = GLOBAL_TOL) -> Residua
     coeff_x = w(u * q) * w(1 / u) + w(u) * w(q / u) + f.tau * w(u) * w(1 / u)
     rhs = w(u * q) * w(q / u) * eye + coeff_x * x
     report = ResidualReport(config={"family": f.family, "u": str(u)})
-    report.add("spectral_unitarity", rel_residual(lhs - rhs, [lhs, rhs]), tol)
+    report.add("spectral_unitarity", rel_residual(lhs - rhs, [lhs, rhs]), GLOBAL_TOL)
     return report
 
 
@@ -205,13 +206,13 @@ def weight_operator(n: int) -> np.ndarray:
     return np.diag([1.0, 0.0, -1.0]).astype(complex)
 
 
-def check_weight_symmetry(f: BForm, *, tol: float = 1e-12) -> ResidualReport:
-    """[R, h (x) I + I (x) h] for the antidiagonal (kls) family."""
+def check_weight_symmetry(f: BForm) -> ResidualReport:
+    """[R, h (x) I + I (x) h] for the antidiagonal (kls) family, against 1e-12."""
     h = weight_operator(f.n)
     eye = np.eye(f.n, dtype=complex)
     total = np.kron(h, eye) + np.kron(eye, h)
     r = constant_R(f).mat
     comm = r @ total - total @ r
     report = ResidualReport(config={"family": f.family})
-    report.add("weight_symmetry_local", rel_residual(comm, [r @ total, total @ r]), tol)
+    report.add("weight_symmetry_local", rel_residual(comm, [r @ total, total @ r]), 1e-12)
     return report

@@ -18,6 +18,7 @@ import scipy.sparse as sp
 from .bform import BForm
 from .linalg import (
     DENSE_SIZE_BUDGET,
+    GLOBAL_TOL,
     SPARSE_SIZE_BUDGET,
     check_size_budget,
     max_abs,
@@ -45,7 +46,10 @@ class LocalOp:
 
 @dataclass(frozen=True)
 class ChainOp:
-    """Operator on (C^n)^(x)N, stored as a sparse CSR matrix."""
+    """Operator on (C^n)^(x)N, stored as a sparse CSR matrix.
+
+    A holder with no arithmetic: sums and products are taken on ``matrix``.
+    """
 
     n: int
     N: int
@@ -60,32 +64,14 @@ class ChainOp:
     def dim(self) -> int:
         return self.n ** self.N
 
-    def to_dense(self, budget: int = DENSE_SIZE_BUDGET) -> np.ndarray:
-        check_size_budget(self.dim, budget, f"densifying {self.label or 'chain operator'}")
+    def to_dense(self) -> np.ndarray:
+        """Dense form, within DENSE_SIZE_BUDGET."""
+        check_size_budget(self.dim, DENSE_SIZE_BUDGET, f"densifying {self.label or 'chain operator'}")
         return self.matrix.toarray()
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return max_abs(self.matrix - self.matrix.conj().T) <= tol
-
-    def _same_space(self, other: "ChainOp") -> sp.csr_matrix:
-        if (self.n, self.N) != (other.n, other.N):
-            raise ValueError("chain operators live on different spaces")
-        return other.matrix
-
-    def __add__(self, other: "ChainOp") -> "ChainOp":
-        matrix = (self.matrix + self._same_space(other)).tocsr()
-        return ChainOp(self.n, self.N, matrix, f"({self.label}+{other.label})")
-
-    def __sub__(self, other: "ChainOp") -> "ChainOp":
-        return self + (-1.0) * other
-
-    def __matmul__(self, other: "ChainOp") -> "ChainOp":
-        matrix = (self.matrix @ self._same_space(other)).tocsr()
-        return ChainOp(self.n, self.N, matrix, f"({self.label}@{other.label})")
-
-    def __rmul__(self, scalar) -> "ChainOp":
-        c = complex(scalar)
-        return ChainOp(self.n, self.N, (c * self.matrix).tocsr(), f"{c:g}*{self.label}")
+    def is_hermitian(self) -> bool:
+        """Whether the largest entry of M - M^H is at most 1e-12."""
+        return max_abs(self.matrix - self.matrix.conj().T) <= 1e-12
 
 
 def local_X(f: BForm) -> LocalOp:
@@ -94,11 +80,11 @@ def local_X(f: BForm) -> LocalOp:
     return LocalOp(n=f.n, mat=mat, label="X")
 
 
-def embed(op: LocalOp, j: int, N: int, *, budget: int = SPARSE_SIZE_BUDGET) -> ChainOp:
+def embed(op: LocalOp, j: int, N: int) -> ChainOp:
     """Place a two-site operator on sites (j, j+1) of an N-site chain, 1-indexed.
 
-    Returns I^(x)(j-1) (x) op (x) I^(x)(N-j-1) in CSR form; stored nonzeros
-    equal nnz(op) * n^(N-2).
+    Returns I^(x)(j-1) (x) op (x) I^(x)(N-j-1) in CSR form, within
+    SPARSE_SIZE_BUDGET; stored nonzeros equal nnz(op) * n^(N-2).
     """
     n = op.n
     if N < 2:
@@ -106,7 +92,7 @@ def embed(op: LocalOp, j: int, N: int, *, budget: int = SPARSE_SIZE_BUDGET) -> C
     if not 1 <= j <= N - 1:
         raise ValueError(f"site index j={j} outside 1..{N - 1}")
     dim = n ** N
-    check_size_budget(dim, budget, "embed")
+    check_size_budget(dim, SPARSE_SIZE_BUDGET, "embed")
     d, right = n * n, n ** (N - j - 1)
     # nonzeros enumerated over (left, a, right, b): rows ascend, and columns
     # ascend within each row, so the arrays are already canonical CSR
@@ -117,12 +103,12 @@ def embed(op: LocalOp, j: int, N: int, *, budget: int = SPARSE_SIZE_BUDGET) -> C
     return ChainOp(n=n, N=N, matrix=matrix, label=f"{op.label}_{j}")
 
 
-def check_tl_relations(f: BForm, N: int, *, tol: float = 1e-10) -> ResidualReport:
+def check_tl_relations(f: BForm, N: int) -> ResidualReport:
     """Residuals of the defining relations for all generators on N sites.
 
-    Checks, with relative max-abs residuals: X_j^2 + nu(q) X_j for every j,
-    the sandwich relation X_j X_k X_j - X_j for adjacent (j, k), and the
-    commutator [X_j, X_k] for |j - k| > 1.
+    Checks, with relative max-abs residuals, each against GLOBAL_TOL (1e-10):
+    X_j^2 + nu(q) X_j for every j, the sandwich relation X_j X_k X_j - X_j
+    for adjacent (j, k), and the commutator [X_j, X_k] for |j - k| > 1.
     """
     if N < 3:
         raise ValueError("the sandwich relation needs N >= 3")
@@ -135,7 +121,7 @@ def check_tl_relations(f: BForm, N: int, *, tol: float = 1e-10) -> ResidualRepor
         report.add(
             f"tl_square_j{j}",
             rel_residual(sq + nu * xs[j], [sq, nu * xs[j]]),
-            tol,
+            GLOBAL_TOL,
         )
     for j in range(1, N):
         for k in (j - 1, j + 1):
@@ -145,11 +131,11 @@ def check_tl_relations(f: BForm, N: int, *, tol: float = 1e-10) -> ResidualRepor
             report.add(
                 f"tl_sandwich_j{j}_k{k}",
                 rel_residual(triple - xs[j], [triple, xs[j]]),
-                tol,
+                GLOBAL_TOL,
             )
     for j in range(1, N):
         for k in range(j + 2, N):
             ab = xs[j] @ xs[k]
             ba = xs[k] @ xs[j]
-            report.add(f"tl_commute_j{j}_k{k}", rel_residual(ab - ba, [ab, ba]), tol)
+            report.add(f"tl_commute_j{j}_k{k}", rel_residual(ab - ba, [ab, ba]), GLOBAL_TOL)
     return report

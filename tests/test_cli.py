@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,34 @@ from pathlib import Path
 import pytest
 
 import tlspin as t
+from tlspin.bform import b_matrix_to_obj
 from tlspin.cli import main, parse_complex
+
+# Every check the program reports, as a full-match name pattern, with the
+# threshold that check is held to.
+THRESHOLDS = {
+    r"tl_(square_j\d+|sandwich_j\d+_k\d+|commute_j\d+_k\d+)": 1e-10,
+    r"braid": 1e-8,
+    r"spectral_ybe_(\d+|explicit)": 1e-8,
+    r"cubic_(spectral|constant)_(121|212)": 1e-8,
+    r"antisym_vanishing\[(q\^-1|q\^-3|best-fit)\]": 1e-8,
+    r"antisym_unique_named_candidate": 0.0,
+    r"spectral_unitarity": 1e-10,
+    r"rll": 1e-8,
+    r"centralizer_(R\d+|H)_T\[\d,\d\]": 1e-8,
+    r"casimir_(scalar|value_q|grouplike|combination)": 1e-8,
+    r"weight_symmetry_local": 1e-12,
+    r"weight_symmetry_global": 1e-10,
+    r"symmetrizer_idempotent": 1e-8,
+    r"symmetrizer_rank": 0.0,
+    r"isotypic_assignment": 0.0,
+    r"sum_pk_nuk|catalan_check|series_matches_dims": 0.0,
+    # reported by the library only
+    r"coassociativity|pminus_image_stable": 1e-10,
+    r"orbit_rank_8": 0.0,
+    r"b3_in_double_lowering_span|lowering_terminates_on_e3e3|invariant_line_stability": 1e-8,
+    r"invariant_line_eigenvalue": 1e-10,
+}
 
 
 def run_cli(capsys, *argv):
@@ -90,6 +118,13 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--family", "file", "--b-file", "/nonexistent.json")
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--u", "--v"])
+    def test_half_a_spectral_point_is_usage_error(self, capsys, flag):
+        code, out, err = run_cli(capsys, "verify", "--family", "kls", "--p", "2", "--N", "3", flag, "2")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "ValueError"
+
     def test_explicit_spectral_point(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--family", "xxz", "--q", "3", "--N", "3", "--u", "2", "--v", "0.7"
@@ -127,6 +162,13 @@ class TestSpectrumCommand:
         lines = out.strip().splitlines()
         assert lines[0] == "re,im"
         assert len(lines) == 5  # one row per eigenvalue of the 4-dim space
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_bad_cluster_tol_is_usage_error(self, capsys, value):
+        code, out, err = run_cli(capsys, "spectrum", "--family", "kls", "--p", "2", "--N", "3", "--cluster-tol", value)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "ValueError"
 
     def test_shared_real_parts_pass(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "--family", "kls", "--p", "1+1j", "--N", "3")
@@ -213,6 +255,37 @@ class TestOtherCommands:
         code, out, _ = run_cli(capsys, "poincare", "--n", "3", "--K", "3", "--format", "text")
         assert "[PASS]" in out
         assert "exit 0" in out
+
+
+class TestThresholds:
+    def test_every_check_has_its_fixed_threshold(self, capsys, tmp_path, kls, random_bform):
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps(b_matrix_to_obj(random_bform(500, 3))))
+        runs = [
+            ("verify", "--family", "kls", "--p", "2", "--N", "3"),
+            ("verify", "--family", "xxz", "--q", "3", "--N", "4"),
+            ("verify", "--family", "file", "--b-file", str(path), "--N", "3", "--u", "2", "--v", "0.7"),
+            ("centralizer", "--family", "kls", "--p", "2", "--N", "3"),
+            ("casimir", "--family", "kls", "--p", "2"),
+            ("symmetrizer", "--family", "xxz", "--q", "3", "--N", "4"),
+            ("spectrum", "--family", "kls", "--p", "2", "--N", "3"),
+            ("decompose", "--n", "3", "--N", "4"),
+            ("poincare", "--n", "3", "--K", "5"),
+        ]
+        rows = []
+        for argv in runs:
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0, argv
+            rows += [(c["name"], c["threshold"]) for c in json.loads(out)["checks"]]
+        for report in (t.check_coassociativity(kls), t.check_pminus_invariance(kls), t.highest_weight_scan(kls).report):
+            rows += [(c.name, c.threshold) for c in report.checks]
+        matched = set()
+        for name, threshold in rows:
+            patterns = [p for p in THRESHOLDS if re.fullmatch(p, name)]
+            assert len(patterns) == 1, name
+            assert threshold == THRESHOLDS[patterns[0]], name
+            matched.add(patterns[0])
+        assert matched == set(THRESHOLDS)
 
 
 class TestEntryPoint:

@@ -213,9 +213,15 @@ class TestCasimir:
             assert res.ordering == "direct"
             assert res.report.checks[0].passed
 
-    def test_reversed_ordering_fails_loudly(self, kls):
-        with pytest.raises(t.ConventionMismatch):
-            t.casimir(kls, ordering="reversed")
+    def test_non_scalar_grid_fails_loudly(self, kls):
+        tower = t.coproduct_T(kls, 2)
+        assert t.casimir(kls, aux=tower).report.passed
+        rows = [list(row) for row in tower.entries]
+        entry = rows[0][1]
+        rows[0][1] = t.ChainOp(entry.n, entry.N, (entry.matrix + 0.1 * sp.identity(9, format="csr")).tocsr())
+        perturbed = t.AuxOperatorMatrix(n_a=3, N=2, entries=tuple(tuple(row) for row in rows))
+        with pytest.raises(t.ConventionMismatch, match="relative misfit"):
+            t.casimir(kls, aux=perturbed)
 
     def test_combination_requires_family(self, xxz):
         with pytest.raises(t.UnsupportedDimension):
@@ -254,10 +260,6 @@ class TestHighestWeightScan:
     def test_requires_family(self, xxz):
         with pytest.raises(t.UnsupportedDimension):
             t.highest_weight_scan(xxz)
-
-    def test_requires_two_sites(self, kls):
-        with pytest.raises(ValueError):
-            t.highest_weight_scan(kls, N=3)
 
 
 class TestProjectorInvariance:

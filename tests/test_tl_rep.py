@@ -105,22 +105,6 @@ class TestEmbed:
             t.embed(x, 1, 10)
 
 
-class TestChainOpArithmetic:
-    def test_sum_and_product_track_sparse(self, xxz):
-        x = t.local_X(xxz)
-        a = t.embed(x, 1, 3)
-        b = t.embed(x, 2, 3)
-        s = a + b
-        p = a @ b
-        assert np.allclose(s.matrix.toarray(), a.matrix.toarray() + b.matrix.toarray())
-        assert np.allclose(p.matrix.toarray(), a.matrix.toarray() @ b.matrix.toarray())
-
-    def test_scalar_multiple(self, xxz):
-        a = t.embed(t.local_X(xxz), 1, 2)
-        b = 2.5 * a
-        assert np.allclose(b.matrix.toarray(), 2.5 * a.matrix.toarray())
-
-
 class TestDefiningRelations:
     def test_kls_chain(self, kls):
         report = t.check_tl_relations(kls, 3)
