@@ -2,8 +2,10 @@
 
 The Hamiltonian is the sum of the two-site generators over all bonds.  Its
 eigenvalue multiplicities are explained entirely by the double
-decomposition: every cluster multiplicity is an integer combination of the
-p_k(n), with each k used across clusters exactly nu_k(N) times.
+decomposition V^(x)N = sum_k W_k (x) V_k: the spectrum of H on the
+Temperley-Lieb standard module W_k (dim nu_k(N)), which depends on tau
+alone, recurs p_k(n) = dim V_k times.  The isotypic assignment reads each
+cluster's multiplicity off these small module spectra.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .bform import BForm
 from .errors import ConvergenceFailure, NoConsistentAssignment
@@ -18,7 +21,7 @@ from .linalg import GLOBAL_TOL, SPARSE_SIZE_BUDGET, check_size_budget, rel_resid
 from .reports import ResidualReport, complex_to_pair
 from .rep_ring import DecompositionTable
 from .rmatrix import weight_operator
-from .tl_rep import ChainOp, LocalOp, embed, local_X
+from .tl_rep import ChainOp, embed, local_X
 
 CLUSTER_TOL_HERMITIAN = 1e-8
 CLUSTER_TOL_GENERAL = 1e-6
@@ -147,8 +150,9 @@ def spectrum(h: ChainOp, cluster_tol: float | None = None) -> SpectrumReport:
 class IsotypicAssignment:
     """Integer explanation of every cluster multiplicity.
 
-    per_cluster[i] maps k -> a_k with multiplicity_i = sum a_k p_k(n);
-    per_k totals the a_k over clusters and equals nu_k(N).
+    per_cluster[i] maps k -> a_k, the number of W_k eigenvalues in cluster
+    i, with multiplicity_i = sum a_k p_k(n); per_k totals the a_k over
+    clusters and equals nu_k(N).
     """
 
     per_cluster: tuple
@@ -161,99 +165,93 @@ class IsotypicAssignment:
         }
 
 
-def _decompositions(target: int, dims: list[tuple[int, int]], caps: dict[int, int]):
-    """All ways to write target = sum a_k p_k with 0 <= a_k <= caps[k]."""
-    if not dims:
-        if target == 0:
-            yield {}
-        return
-    k, p = dims[0]
-    for a in range(min(target // p, caps[k]) + 1):
-        for rest in _decompositions(target - a * p, dims[1:], caps):
-            if a:
-                yield {k: a, **rest}
-            else:
-                yield rest
+def _link_states(N: int, k: int) -> list[tuple[int, ...]]:
+    """Basis of W_k: each site's partner on its arc, or -1 for one of the k defects.
+
+    Arcs do not cross and pass over no defect.  Site i + 1 joins a state of
+    i sites as a new defect, or closes an arc with its rightmost defect.
+    """
+    states = [()]
+    for i in range(N):
+        grown = [s + (-1,) for s in states]
+        for s in states:
+            if -1 in s:
+                d = len(s) - 1 - s[::-1].index(-1)
+                grown.append(s[:d] + (i,) + s[d + 1:] + (d,))
+        states = grown
+    return [s for s in states if s.count(-1) == k]
 
 
-def check_isotypic(report: SpectrumReport, table: DecompositionTable) -> IsotypicAssignment:
-    """Match cluster multiplicities against the decomposition table.
+def _standard_module(N: int, k: int, tau: complex) -> list[np.ndarray]:
+    """Matrices of e_1, ..., e_{N-1} on the link states of W_k, with loop weight tau.
 
-    Finds non-negative integers a[cluster, k] with every cluster multiplicity
-    equal to sum_k a p_k(n) and the per-k totals equal to nu_k(N).  The
-    depth-first search visits clusters in ascending multiplicity.  Clusters
-    of equal multiplicity are interchangeable, so along them the index of
-    the chosen decomposition never decreases, and a state (position, first
-    index, remaining nu) that failed once is not searched again.  Each
-    decomposition is reported at its cluster's own position.
+    e_j acts on sites (j, j+1): an arc between them gives tau, two defects
+    give 0, and otherwise the two sites are joined by an arc and their former
+    partners are joined to each other (a partner of a defect becomes a defect).
+    """
+    states = _link_states(N, k)
+    index = {s: i for i, s in enumerate(states)}
+    mats = [np.zeros((len(states), len(states)), dtype=complex) for _ in range(N - 1)]
+    for j, e in enumerate(mats):
+        for col, s in enumerate(states):
+            a, b = s[j], s[j + 1]
+            if a == j + 1:
+                e[col, col] = tau
+            elif a >= 0 or b >= 0:
+                new = list(s)
+                new[j], new[j + 1] = j + 1, j
+                if a >= 0:
+                    new[a] = b
+                if b >= 0:
+                    new[b] = a
+                e[index[tuple(new)], col] = 1.0
+    return mats
+
+
+def check_isotypic(report: SpectrumReport, table: DecompositionTable, tau: complex) -> IsotypicAssignment:
+    """Read each cluster's multiplicity off the Temperley-Lieb standard modules.
+
+    Under the double centralizer, V^(x)N = sum_k W_k (x) V_k, so every
+    eigenvalue of H = sum_j e_j on the standard module W_k (dim nu_k(N))
+    occurs p_k(n) times in the chain spectrum.  Each eigenvalue of each
+    module goes to the nearest cluster, and a[cluster, k] counts those from
+    W_k.  NoConsistentAssignment is raised unless every module eigenvalue
+    lies within the clustering radius cluster_tol * (1 + |lambda|) of its
+    cluster and every cluster multiplicity equals sum_k a p_k exactly.
     """
     if (report.n, report.N) != (table.n, table.N):
         raise ValueError("spectrum and table describe different (n, N)")
-    dims = sorted(((r.k, r.p_k) for r in table.rows), key=lambda t: -t[1])
-    nu = {r.k: r.nu_k for r in table.rows}
-    keys = sorted(nu)
-    clusters = report.clusters
-    order = sorted(range(len(clusters)), key=lambda i: clusters[i].multiplicity)
-    mults = [clusters[i].multiplicity for i in order]
-    options = {m: [tuple(c.get(k, 0) for k in keys) for c in _decompositions(m, dims, nu)] for m in set(mults)}
-
-    def steps(pos: int, first: int, remaining: tuple):
-        """(option index, remaining nu after it) for each feasible choice at pos."""
-        opts = options[mults[pos]]
-        for idx in range(first, len(opts)):
-            rest = tuple(r - a for r, a in zip(remaining, opts[idx]))
-            if min(rest) >= 0:
-                yield idx, rest
-
-    # an explicit stack: one frame per cluster would come close to Python's
-    # default recursion limit of 1000 (up to 924 clusters at n = 2, N = 12)
-    root = (0, 0, tuple(nu[k] for k in keys))
-    stack = [(root, steps(*root))] if order else []
-    chosen: list[int] = []  # option index per position; one fewer than the stack
-    solved = False
-    failed: set = set()
-    while stack and not solved:
-        state, pending = stack[-1]
-        pos = state[0]
-        step = next(pending, None)
-        if step is None:
-            failed.add(state)
-            stack.pop()
-            if chosen:
-                chosen.pop()
-            continue
-        idx, rest = step
-        if pos + 1 == len(order):
-            solved = not any(rest)
-            if solved:
-                chosen.append(idx)
-            continue
-        child = (pos + 1, idx if mults[pos + 1] == mults[pos] else 0, rest)
-        if child not in failed:
-            chosen.append(idx)
-            stack.append((child, steps(*child)))
-    if not solved:
-        detail = ", ".join(f"{c.value:.6g} x{c.multiplicity}" for c in clusters)
+    values = np.array([c.value for c in report.clusters])
+    counts = np.zeros((values.size, len(table.rows)), dtype=int)
+    outside = 0
+    for col, row in enumerate(table.rows):
+        lam = np.linalg.eigvals(sum(_standard_module(table.N, row.k, tau)))
+        nearest = np.argmin(np.abs(lam[:, None] - values[None, :]), axis=1)
+        outside += np.count_nonzero(np.abs(lam - values[nearest]) > report.cluster_tol * (1 + np.abs(lam)))
+        np.add.at(counts[:, col], nearest, 1)
+    predicted = counts @ np.array([r.p_k for r in table.rows])
+    if outside or not np.array_equal(predicted, [c.multiplicity for c in report.clusters]):
+        detail = ", ".join(f"{c.value:.6g} x{c.multiplicity}" for c in report.clusters)
         raise NoConsistentAssignment(
-            f"no integer assignment for clusters [{detail}] against p_k/nu_k of (n={table.n}, N={table.N})"
+            f"clusters [{detail}] of (n={table.n}, N={table.N}) against standard-module counts "
+            f"{predicted.tolist()}; {outside} module eigenvalues lie outside every cluster"
         )
-    assignment: list = [None] * len(clusters)
-    for pos, idx in enumerate(chosen):
-        combo = options[mults[pos]][idx]
-        assignment[order[pos]] = {k: a for k, a in zip(keys, combo) if a}
-    per_k = {r.k: sum(d.get(r.k, 0) for d in assignment) for r in table.rows}
-    return IsotypicAssignment(per_cluster=tuple(assignment), per_k=per_k)
+    per_cluster = tuple({r.k: int(a) for r, a in zip(table.rows, line) if a} for line in counts)
+    per_k = {r.k: int(total) for r, total in zip(table.rows, counts.sum(axis=0))}
+    return IsotypicAssignment(per_cluster=per_cluster, per_k=per_k)
 
 
 def check_global_weight_symmetry(f: BForm, N: int) -> ResidualReport:
-    """[H, sum_j h_j] for the antidiagonal family's diagonal weight h, within GLOBAL_TOL (1e-10)."""
-    h_local = weight_operator(f.n)
-    eye = np.eye(f.n)
-    # h at sites 1..N-1 via the left slot of each bond, site N via the last right slot
-    weight = embed(LocalOp(f.n, np.kron(eye, h_local), label="h_r"), N - 1, N).matrix
-    left = LocalOp(f.n, np.kron(h_local, eye), label="h_l")
-    for j in range(1, N):
-        weight = weight + embed(left, j, N).matrix
+    """[H, sum_j h_j] for the antidiagonal family's diagonal weight h, within GLOBAL_TOL (1e-10).
+
+    sum_j h_j is diagonal: a basis state's entry adds the site weights of
+    its base-n digits.
+    """
+    site = np.diag(weight_operator(f.n))
+    total = np.zeros(1, dtype=complex)
+    for _ in range(N):
+        total = (total[:, None] + site[None, :]).ravel()
+    weight = sp.diags(total, format="csr")
     hm = hamiltonian(f, N).matrix
     report = ResidualReport(config={"family": f.family, "N": N})
     report.add(

@@ -207,7 +207,7 @@ def _cmd_spectrum(args) -> tuple[dict, int]:
         body["tables"]["raw_eigenvalues"] = [complex_to_pair(v) for v in rep.eigenvalues]
     checks = ResidualReport()
     try:
-        assignment = chain_mod.check_isotypic(rep, table)
+        assignment = chain_mod.check_isotypic(rep, table, f.tau)
         body["tables"]["isotypic"] = assignment.to_dict()
         checks.add("isotypic_assignment", 0.0, 0.0)
     except NoConsistentAssignment:

@@ -30,7 +30,7 @@ class ConventionMismatch(TLSpinError):
 
 
 class NoConsistentAssignment(TLSpinError):
-    """Spectrum multiplicities admit no integer isotypic assignment."""
+    """Spectrum clusters disagree with the eigenvalues of the Temperley-Lieb standard modules."""
 
 
 class NormalizationFailure(TLSpinError):

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .bform import BForm
-from .errors import NormalizationFailure
+from .errors import NormalizationFailure, SizeBudgetExceeded
 from .linalg import (
     DENSE_SIZE_BUDGET,
     PRODUCT_TOL,
@@ -72,7 +72,7 @@ def catalan(N: int) -> int:
     if N < 0:
         raise ValueError("N must be >= 0")
     if N > CATALAN_MAX_N:
-        raise OverflowError(f"catalan: N = {N} exceeds the integer budget {CATALAN_MAX_N}")
+        raise SizeBudgetExceeded(f"catalan: N = {N} exceeds the integer budget {CATALAN_MAX_N}")
     return math.comb(2 * N, N) // (N + 1)
 
 

@@ -6,9 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 import tlspin as t
-from tlspin.chain import CLUSTER_TOL_GENERAL, Cluster, SpectrumReport, _cluster_eigenvalues
+from tlspin.chain import (
+    CLUSTER_TOL_GENERAL,
+    Cluster,
+    SpectrumReport,
+    _cluster_eigenvalues,
+    _link_states,
+    _standard_module,
+)
 
 
 def dense_chain_oracle(f, N):
@@ -27,14 +35,6 @@ def dense_chain_oracle(f, N):
                 term = np.kron(term, np.eye(n, dtype=complex))
         total += term
     return total
-
-
-def histogram_report(n, N):
-    """nu_k(N) clusters of multiplicity p_k(n) each, largest multiplicity first."""
-    table = t.decomposition_table(n, N)
-    mults = sorted((r.p_k for r in table.rows for _ in range(r.nu_k)), reverse=True)
-    clusters = tuple(Cluster(float(i) + 0j, m) for i, m in enumerate(mults))
-    return SpectrumReport(n=n, N=N, clusters=clusters, total=sum(mults), hermitian=True, cluster_tol=1e-8), table
 
 
 def cluster_map(report):
@@ -142,7 +142,7 @@ class TestSpectrum:
         f = t.builtin_bform("kls", 1 + 1j)
         rep = t.spectrum(t.hamiltonian(f, 3))
         assert sorted(c.multiplicity for c in rep.clusters) == [3, 3, 21]
-        assert t.check_isotypic(rep, t.decomposition_table(3, 3)).per_k == {1: 2, 3: 1}
+        assert t.check_isotypic(rep, t.decomposition_table(3, 3), f.tau).per_k == {1: 2, 3: 1}
 
     def test_budget(self, xxz):
         h = t.hamiltonian(xxz, 13)
@@ -154,7 +154,7 @@ class TestIsotypic:
     def test_kls_three_sites(self, kls):
         rep = t.spectrum(t.hamiltonian(kls, 3))
         table = t.decomposition_table(3, 3)
-        asg = t.check_isotypic(rep, table)
+        asg = t.check_isotypic(rep, table, kls.tau)
         assert asg.per_k == {1: 2, 3: 1}
         by_mult = {c.multiplicity: d for c, d in zip(rep.clusters, asg.per_cluster)}
         assert by_mult[21] == {3: 1}
@@ -162,12 +162,12 @@ class TestIsotypic:
 
     def test_kls_two_sites(self, kls):
         rep = t.spectrum(t.hamiltonian(kls, 2))
-        asg = t.check_isotypic(rep, t.decomposition_table(3, 2))
+        asg = t.check_isotypic(rep, t.decomposition_table(3, 2), kls.tau)
         assert asg.per_k == {0: 1, 2: 1}
 
     def test_kls_four_sites(self, kls):
         rep = t.spectrum(t.hamiltonian(kls, 4))
-        asg = t.check_isotypic(rep, t.decomposition_table(3, 4))
+        asg = t.check_isotypic(rep, t.decomposition_table(3, 4), kls.tau)
         assert asg.per_k == {0: 2, 2: 3, 4: 1}
         # every cluster multiplicity decomposes over {1, 8, 55}
         for combo, cluster in zip(asg.per_cluster, rep.clusters):
@@ -176,27 +176,27 @@ class TestIsotypic:
 
     def test_xxz_five_sites(self, xxz):
         rep = t.spectrum(t.hamiltonian(xxz, 5))
-        asg = t.check_isotypic(rep, t.decomposition_table(2, 5))
+        asg = t.check_isotypic(rep, t.decomposition_table(2, 5), xxz.tau)
         assert asg.per_k == {k: v for k, v in t.mult_nu(5).items()}
 
     def test_longer_chains_recover_all_multiplicities(self, xxz, kls):
         for f, n, N in ((xxz, 2, 6), (xxz, 2, 8), (kls, 3, 5)):
             rep = t.spectrum(t.hamiltonian(f, N))
-            asg = t.check_isotypic(rep, t.decomposition_table(n, N))
+            asg = t.check_isotypic(rep, t.decomposition_table(n, N), f.tau)
             assert asg.per_k == t.mult_nu(N)
 
     def test_xxz_imaginary_q(self):
         f = t.builtin_bform("xxz", 2j)
         for N in (6, 7):
             rep = t.spectrum(t.hamiltonian(f, N))
-            assert t.check_isotypic(rep, t.decomposition_table(2, N)).per_k == t.mult_nu(N)
+            assert t.check_isotypic(rep, t.decomposition_table(2, N), f.tau).per_k == t.mult_nu(N)
 
     def test_non_hermitian_path(self):
         # complex p: general eigensolver, looser clustering, same bookkeeping
         f = t.builtin_bform("kls", 1 + 0.5j)
         rep = t.spectrum(t.hamiltonian(f, 3))
         assert not rep.hermitian
-        asg = t.check_isotypic(rep, t.decomposition_table(3, 3))
+        asg = t.check_isotypic(rep, t.decomposition_table(3, 3), f.tau)
         assert asg.per_k == {1: 2, 3: 1}
         zero_cluster = min(rep.clusters, key=lambda c: abs(c.value))
         assert zero_cluster.multiplicity == 21
@@ -204,7 +204,7 @@ class TestIsotypic:
     def test_mismatched_shapes_rejected(self, kls):
         rep = t.spectrum(t.hamiltonian(kls, 2))
         with pytest.raises(ValueError):
-            t.check_isotypic(rep, t.decomposition_table(3, 3))
+            t.check_isotypic(rep, t.decomposition_table(3, 3), kls.tau)
 
     def test_impossible_multiplicities(self):
         fake = SpectrumReport(
@@ -216,43 +216,74 @@ class TestIsotypic:
             cluster_tol=1e-8,
         )
         with pytest.raises(t.NoConsistentAssignment):
-            t.check_isotypic(fake, t.decomposition_table(3, 2))
-
-    @pytest.mark.parametrize("n, N", [(2, 8), (2, 10), (2, 12), (3, 7)])
-    def test_descending_histogram_in_bounded_time(self, n, N):
-        # small multiplicities also decompose into smaller p_k, which an
-        # unordered search tries first and backtracks over exponentially
-        rep, table = histogram_report(n, N)
-        start = time.perf_counter()
-        asg = t.check_isotypic(rep, table)
-        assert time.perf_counter() - start <= 2.0
-        assert asg.per_k == t.mult_nu(N)
-        p = t.dims_p(n, N)
-        for cluster, combo in zip(rep.clusters, asg.per_cluster):
-            assert sum(a * p[k] for k, a in combo.items()) == cluster.multiplicity
+            t.check_isotypic(fake, t.decomposition_table(3, 2), 5.25)
 
     def test_xxz_negative_q_eight_sites(self):
-        rep = t.spectrum(t.hamiltonian(t.builtin_bform("xxz", -2), 8))
+        f = t.builtin_bform("xxz", -2)
+        rep = t.spectrum(t.hamiltonian(f, 8))
         start = time.perf_counter()
-        asg = t.check_isotypic(rep, t.decomposition_table(2, 8))
+        asg = t.check_isotypic(rep, t.decomposition_table(2, 8), f.tau)
         assert time.perf_counter() - start <= 2.0
         assert asg.per_k == t.mult_nu(8)
 
-    def test_infeasible_histogram_rejected_in_bounded_time(self):
-        # one cluster of 7 and one of 9 both become 8: the sizes still sum to
-        # n^N and each decomposes alone, but no assignment meets the nu_k totals
-        rep, table = histogram_report(2, 12)
-        mults = [c.multiplicity for c in rep.clusters]
-        mults[mults.index(7)] = 8
-        mults[mults.index(9)] = 8
-        bad = SpectrumReport(
-            n=2, N=12, clusters=tuple(Cluster(c.value, m) for c, m in zip(rep.clusters, mults)),
-            total=rep.total, hermitian=True, cluster_tol=1e-8,
-        )
-        start = time.perf_counter()
+
+    def test_split_cluster_rejected(self, kls):
+        # the 21 states at 0 reported as two clusters: the counts still sum
+        # to 27, but the W_3 eigenvalue 0 can fill only one of them
+        rep = t.spectrum(t.hamiltonian(kls, 3))
+        zero, *rest = rep.clusters
+        split = (Cluster(zero.value, 11), Cluster(zero.value + 1e-3, 10), *rest)
+        bad = SpectrumReport(n=3, N=3, clusters=split, total=27, hermitian=True, cluster_tol=rep.cluster_tol)
         with pytest.raises(t.NoConsistentAssignment):
-            t.check_isotypic(bad, table)
-        assert time.perf_counter() - start <= 2.0
+            t.check_isotypic(bad, t.decomposition_table(3, 3), kls.tau)
+
+    def test_moved_cluster_rejected(self, kls):
+        # same multiplicities, but one value moved beyond its clustering radius
+        rep = t.spectrum(t.hamiltonian(kls, 3))
+        radius = rep.cluster_tol * (1 + abs(rep.clusters[1].value))
+        moved = list(rep.clusters)
+        moved[1] = Cluster(moved[1].value + 2 * radius, moved[1].multiplicity)
+        bad = SpectrumReport(n=3, N=3, clusters=tuple(moved), total=27, hermitian=True, cluster_tol=rep.cluster_tol)
+        with pytest.raises(t.NoConsistentAssignment):
+            t.check_isotypic(bad, t.decomposition_table(3, 3), kls.tau)
+
+
+class TestStandardModules:
+    @pytest.mark.parametrize("tau", [5.25, 1.3 + 0.7j])
+    def test_tl_relations(self, tau):
+        for N in range(2, 7):
+            for k in t.mult_nu(N):
+                e = _standard_module(N, k, tau)
+                for i in range(N - 1):
+                    assert np.max(np.abs(e[i] @ e[i] - tau * e[i])) <= 1e-12
+                    if i + 1 < N - 1:
+                        assert np.max(np.abs(e[i] @ e[i + 1] @ e[i] - e[i])) <= 1e-12
+                        assert np.max(np.abs(e[i + 1] @ e[i] @ e[i + 1] - e[i + 1])) <= 1e-12
+                    for j in range(i + 2, N - 1):
+                        assert np.max(np.abs(e[i] @ e[j] - e[j] @ e[i])) <= 1e-12
+
+    def test_dimensions(self):
+        for N in range(1, 13):
+            assert {k: len(_link_states(N, k)) for k in t.mult_nu(N)} == t.mult_nu(N)
+
+    def test_module_spectra_repeat_p_k_times_in_chain_spectrum(self, kls, xxz):
+        gauged = t.gauge_transform(kls, _haar(np.random.default_rng(11), 3) @ np.diag([1.0, 1.5, 2.0]))
+        for f, N in ((kls, 4), (xxz, 6), (gauged, 4)):
+            full = np.linalg.eigvals(t.hamiltonian(f, N).to_dense())
+            table = t.decomposition_table(f.n, N)
+            modules = np.concatenate(
+                [np.repeat(np.linalg.eigvals(sum(_standard_module(N, r.k, f.tau))), r.p_k) for r in table.rows]
+            )
+            gap = np.abs(full[:, None] - modules[None, :])
+            rows, cols = linear_sum_assignment(gap)
+            assert np.max(gap[rows, cols]) <= 1e-9
+
+    def test_twelve_site_module_spectra_in_bounded_time(self, xxz):
+        np.linalg.eigvals(sum(_standard_module(4, 0, xxz.tau)))  # first LAPACK call outside the timing
+        start = time.perf_counter()
+        for k in t.mult_nu(12):
+            np.linalg.eigvals(sum(_standard_module(12, k, xxz.tau)))
+        assert time.perf_counter() - start <= 1.0
 
 
 class TestGlobalWeight:
@@ -279,3 +310,9 @@ def test_gauge_keeps_cluster_multiplicities(p, seed, N):
     rep = t.spectrum(t.hamiltonian(g, N))
     assert not rep.hermitian and rep.cluster_tol == CLUSTER_TOL_GENERAL
     assert sorted(c.multiplicity for c in rep.clusters) == sorted(c.multiplicity for c in ref.clusters)
+    # dense b: the same isotypic content per cluster, clusters matched by value
+    table = t.decomposition_table(3, N)
+    got = dict(zip((c.value for c in rep.clusters), t.check_isotypic(rep, table, g.tau).per_cluster))
+    want = dict(zip((c.value for c in ref.clusters), t.check_isotypic(ref, table, f.tau).per_cluster))
+    for value, combo in want.items():
+        assert got[min(got, key=lambda v: abs(v - value))] == combo

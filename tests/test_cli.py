@@ -194,6 +194,12 @@ class TestDecomposeCommand:
         assert out.splitlines()[0] == "k,p_k,nu_k"
         assert "4,55,1" in out
 
+    def test_catalan_budget_is_config_error(self, capsys):
+        code, out, err = run_cli(capsys, "decompose", "--n", "3", "--N", "31")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "SizeBudgetExceeded"
+
 
 class TestRmatrixCommand:
     def test_constant_matrix(self, capsys):

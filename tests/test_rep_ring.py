@@ -83,7 +83,7 @@ class TestCatalan:
 
     def test_budget(self):
         t.catalan(30)
-        with pytest.raises(OverflowError):
+        with pytest.raises(t.SizeBudgetExceeded):
             t.catalan(31)
         with pytest.raises(ValueError):
             t.catalan(-1)
