@@ -33,7 +33,6 @@ from .qalg import (
     AuxOperatorMatrix,
     CasimirResult,
     DecompositionEvidence,
-    GeneratorSet,
     casimir,
     casimir_combination,
     casimir_grouplike,
@@ -44,7 +43,6 @@ from .qalg import (
     coproduct_T,
     generator_blocks,
     highest_weight_scan,
-    l_operator,
 )
 from .rep_ring import (
     DecompositionTable,
@@ -60,7 +58,6 @@ from .rep_ring import (
 from .reports import CheckResult, ResidualReport
 from .rmatrix import (
     AntisymmetrizerResult,
-    SpectralR,
     check_braid,
     check_spectral_ybe,
     check_tl_cubic,
@@ -94,7 +91,6 @@ __all__ = [
     "projectors",
     "spectral_R",
     "spectral_weight",
-    "SpectralR",
     "check_braid",
     "check_spectral_ybe",
     "check_tl_cubic",
@@ -103,8 +99,6 @@ __all__ = [
     "q_antisymmetrizer",
     "AntisymmetrizerResult",
     "AuxOperatorMatrix",
-    "GeneratorSet",
-    "l_operator",
     "generator_blocks",
     "coproduct_T",
     "check_centralizer",

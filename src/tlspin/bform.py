@@ -161,7 +161,7 @@ def builtin_bform(
         b = np.array([[0, 1], [-q0, 0]], dtype=complex)
         inv = np.array([[0, -1 / q0], [1, 0]], dtype=complex)
         # the roots of the quadratic are exactly {q0, 1/q0}
-        if abs(abs(q0) - 1) <= 1e-9:
+        if abs(abs(q0) - 1) <= _MODULUS_TIE_TOL:
             root = q0 if q0.imag >= 0 else 1 / q0
         else:
             root = q0 if abs(q0) > 1 else 1 / q0

@@ -253,7 +253,7 @@ def check_global_weight_symmetry(f: BForm, N: int) -> ResidualReport:
         total = (total[:, None] + site[None, :]).ravel()
     weight = sp.diags(total, format="csr")
     hm = hamiltonian(f, N).matrix
-    report = ResidualReport(config={"family": f.family, "N": N})
+    report = ResidualReport()
     report.add(
         "weight_symmetry_global",
         rel_residual(hm @ weight - weight @ hm, [hm @ weight, weight @ hm]),

@@ -69,21 +69,6 @@ class AuxOperatorMatrix:
         return self.entries[a][b].to_dense()
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
-    """Named auxiliary-space blocks of the L-operator (n = 3 only)."""
-
-    blocks: dict
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.blocks[name]
-
-    def as_matrix(self) -> np.ndarray:
-        """Reassemble the full n^2 x n^2 operator from the named blocks."""
-        rows = [np.hstack([self.blocks[name] for name in row]) for row in GENERATOR_GRID]
-        return np.vstack(rows)
-
-
 def l_matrix(f: BForm) -> LocalOp:
     """The full L = P R as a dense operator on aux (x) quantum."""
     mat = flip_operator(f.n) @ constant_R(f).mat
@@ -97,30 +82,12 @@ def _l_blocks(f: BForm) -> np.ndarray:
     return lm.reshape(n, n, n, n).transpose(0, 2, 1, 3)
 
 
-def l_operator(f: BForm) -> AuxOperatorMatrix:
-    """L viewed as an auxiliary-space grid of single-site operators (N = 1)."""
-    n = f.n
-    blocks = _l_blocks(f)
-    entries = tuple(
-        tuple(
-            ChainOp(n=n, N=1, matrix=sp.csr_matrix(blocks[a, b]), label=f"L[{a + 1},{b + 1}]")
-            for b in range(n)
-        )
-        for a in range(n)
-    )
-    return AuxOperatorMatrix(n_a=n, N=1, entries=entries)
-
-
-def generator_blocks(f: BForm) -> GeneratorSet:
-    """The nine named 3 x 3 blocks of L."""
+def generator_blocks(f: BForm) -> dict[str, np.ndarray]:
+    """The nine 3 x 3 blocks of L, keyed by their GENERATOR_GRID names (n = 3 only)."""
     if f.n != 3:
         raise UnsupportedDimension("named generator blocks are defined for n = 3")
     blocks = _l_blocks(f)
-    named = {}
-    for a in range(3):
-        for b in range(3):
-            named[GENERATOR_GRID[a][b]] = blocks[a, b]
-    return GeneratorSet(blocks=named)
+    return {GENERATOR_GRID[a][b]: blocks[a, b] for a in range(3) for b in range(3)}
 
 
 def coproduct_T(f: BForm, N: int) -> AuxOperatorMatrix:
@@ -176,7 +143,7 @@ def check_centralizer(f: BForm, N: int) -> ResidualReport:
     r = constant_R(f)
     r_embeds = {k: embed(r, k, N).matrix for k in range(1, N)}
     h = hamiltonian(f, N).matrix
-    report = ResidualReport(config={"family": f.family, "n": f.n, "N": N})
+    report = ResidualReport()
     # residuals are relative to the tower's global scale: an entry that is
     # structurally zero must not be divided by its own vanishing magnitude
     tower_scale = max(max_abs(tower.entry(a, b).matrix) for a in range(f.n) for b in range(f.n))
@@ -202,13 +169,7 @@ class CasimirResult:
     """Scalar central value extracted from the bilinear contraction of L."""
 
     c2: complex
-    grid: np.ndarray
     report: ResidualReport
-
-    @property
-    def ordering(self) -> str:
-        """The contraction convention: "direct", L[j, k] to the left of L[b, l]."""
-        return "direct"
 
 
 def _casimir_grid(f: BForm, blocks: np.ndarray) -> np.ndarray:
@@ -247,24 +208,25 @@ def _scalar_fit(grid: np.ndarray) -> tuple[complex, float]:
 def casimir(f: BForm, *, aux: AuxOperatorMatrix | None = None) -> CasimirResult:
     """Contract b^{-1} . L . b . L^t over the auxiliary space and fit a scalar.
 
-    The contraction C[a, b] = sum_{jkl} b_inv[a, j] L[j, k] b[k, l] L[b, l],
+    ``aux`` defaults to the one-site tower coproduct_T(f, 1), the block grid
+    of L.  The contraction C[a, b] = sum_{jkl} b_inv[a, j] L[j, k] b[k, l] L[b, l],
     with each operator product read left to right, must equal
     c2 * delta_ab * I for a single scalar c2: the relative misfit must be
     within PRODUCT_TOL (1e-8), or ConventionMismatch is raised with it.  For
     the antidiagonal family the one-site scalar additionally equals q, which
     is asserted in the report against the same threshold.
     """
-    grid_ops = aux if aux is not None else l_operator(f)
+    grid_ops = aux if aux is not None else coproduct_T(f, 1)
     dense = [[grid_ops.dense_entry(a, b) for b in range(f.n)] for a in range(f.n)]
     grid = _casimir_grid(f, dense)
     c2, misfit = _scalar_fit(grid)
     if misfit > PRODUCT_TOL:
         raise ConventionMismatch(f"the contraction yields no scalar Casimir; relative misfit {misfit:.3e}")
-    report = ResidualReport(config={"family": f.family, "n": f.n})
+    report = ResidualReport()
     report.add("casimir_scalar", misfit, PRODUCT_TOL)
     if f.family == "kls" and grid_ops.N == 1:
         report.add("casimir_value_q", scaled(abs(c2 - f.q), abs(f.q)), PRODUCT_TOL)
-    return CasimirResult(c2=c2, grid=grid, report=report)
+    return CasimirResult(c2=c2, report=report)
 
 
 def casimir_grouplike(f: BForm) -> tuple[CasimirResult, CasimirResult, ResidualReport]:
@@ -276,8 +238,7 @@ def casimir_grouplike(f: BForm) -> tuple[CasimirResult, CasimirResult, ResidualR
     """
     cas = casimir(f)
     cas2 = casimir(f, aux=coproduct_T(f, 2))
-    report = ResidualReport(config=dict(cas.report.config))
-    report.extend(cas.report)
+    report = ResidualReport(list(cas.report.checks))
     report.add("casimir_grouplike", scaled(abs(cas2.c2 - cas.c2 ** 2), abs(cas.c2 ** 2)), PRODUCT_TOL)
     return cas, cas2, report
 
@@ -290,7 +251,7 @@ def casimir_combination(f: BForm) -> ResidualReport:
     p = f.p
     comb = p * ((1 / p) * g["A3"] @ g["A1"] + g["C2"] @ g["B1"] + p * g["C3"] @ g["B3"])
     target = f.q * np.eye(3, dtype=complex)
-    report = ResidualReport(config={"family": f.family})
+    report = ResidualReport()
     report.add("casimir_combination", rel_residual(comb - target, [comb, target]), PRODUCT_TOL)
     return report
 
@@ -308,7 +269,7 @@ def check_rll(f: BForm) -> ResidualReport:
     r12 = embed(constant_R(f), 1, 3).to_dense()
     lhs = r12 @ l1 @ l2
     rhs = l1 @ l2 @ r12
-    report = ResidualReport(config={"family": f.family, "n": f.n})
+    report = ResidualReport()
     report.add("rll", rel_residual(lhs - rhs, [lhs, rhs]), PRODUCT_TOL)
     return report
 
@@ -319,7 +280,7 @@ def check_coassociativity(f: BForm) -> ResidualReport:
     t3 = coproduct_T(f, 3)
     t2 = coproduct_T(f, 2)
     blocks = _l_blocks(f)
-    report = ResidualReport(config={"family": f.family, "n": f.n})
+    report = ResidualReport()
     worst = 0.0
     scale = 0.0
     for a in range(n):
@@ -338,11 +299,6 @@ class DecompositionEvidence:
     """Numerical evidence for the two-site orbit/invariant-line split."""
 
     orbit_rank: int
-    singular_values: np.ndarray
-    b3_span_residual: float
-    terminal_residual: float
-    invariant_line_residual: float
-    line_eigenvalue_residual: float
     report: ResidualReport
 
 
@@ -410,21 +366,13 @@ def highest_weight_scan(f: BForm) -> DecompositionEvidence:
     r = constant_R(f).mat
     eig_res = float(scaled(max_abs(r @ bvec - (-1 / f.q) * bvec), np.linalg.norm(bvec)))
 
-    report = ResidualReport(config={"family": f.family, "N": 2})
+    report = ResidualReport()
     report.add("orbit_rank_8", float(abs(orbit_rank - 8)), 0.0)
     report.add("b3_in_double_lowering_span", b3_residual, PRODUCT_TOL)
     report.add("lowering_terminates_on_e3e3", terminal, PRODUCT_TOL)
     report.add("invariant_line_stability", line_res, PRODUCT_TOL)
     report.add("invariant_line_eigenvalue", eig_res, GLOBAL_TOL)
-    return DecompositionEvidence(
-        orbit_rank=orbit_rank,
-        singular_values=svals,
-        b3_span_residual=b3_residual,
-        terminal_residual=terminal,
-        invariant_line_residual=line_res,
-        line_eigenvalue_residual=eig_res,
-        report=report,
-    )
+    return DecompositionEvidence(orbit_rank=orbit_rank, report=report)
 
 
 def check_pminus_invariance(f: BForm) -> ResidualReport:
@@ -433,7 +381,7 @@ def check_pminus_invariance(f: BForm) -> ResidualReport:
     _, p_minus = projectors(f)
     pm = p_minus.mat
     comp = np.eye(f.n ** 2, dtype=complex) - pm
-    report = ResidualReport(config={"family": f.family, "n": f.n})
+    report = ResidualReport()
     worst = 0.0
     scale = 0.0
     for a in range(f.n):

@@ -37,13 +37,22 @@ from .tl_rep import ChainOp
 # Catalan numbers above this N are outside the artifact's integer budget.
 CATALAN_MAX_N = 30
 
+# Largest K * bit_length(n) for the sequences p_0..p_K(n): since p_K(n) < n^K,
+# every term then has fewer than 4300 decimal digits, CPython's default
+# int-to-str limit, and no term is longer than this many bits.
+SERIES_BITS_BUDGET = 14000
+
 
 def dims_p(n: int, k_max: int) -> list[int]:
-    """[p_0, ..., p_k_max] from the recurrence n p_k = p_{k+1} + p_{k-1}."""
+    """[p_0, ..., p_k_max] from the recurrence n p_k = p_{k+1} + p_{k-1}.
+
+    k_max * bit_length(n) must lie within SERIES_BITS_BUDGET.
+    """
     if n < 2:
         raise ValueError("n must be >= 2")
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
+    check_size_budget(k_max * int(n).bit_length(), SERIES_BITS_BUDGET, "dims_p")
     out = [1]
     prev, cur = 0, 1
     for _ in range(k_max):
@@ -118,7 +127,8 @@ class DecompositionTable:
 
 
 def decomposition_table(n: int, N: int) -> DecompositionTable:
-    """All rows of matching parity with both invariant sums."""
+    """All rows of matching parity with both invariant sums; N within CATALAN_MAX_N."""
+    catalan(N)
     nu = mult_nu(N)
     p = dims_p(n, N)
     rows = tuple(DecompositionRow(k=k, p_k=p[k], nu_k=nu_k) for k, nu_k in nu.items())
@@ -130,9 +140,13 @@ def decomposition_table(n: int, N: int) -> DecompositionTable:
 
 
 def poincare_series(n: int, K: int) -> list[int]:
-    """Coefficients of 1/(1 - n t + t^2) up to order K by exact series division."""
+    """Coefficients of 1/(1 - n t + t^2) up to order K by exact series division.
+
+    K * bit_length(n) must lie within SERIES_BITS_BUDGET.
+    """
     if K < 0:
         raise ValueError("K must be >= 0")
+    check_size_budget(K * int(n).bit_length(), SERIES_BITS_BUDGET, "poincare_series")
     denom = [1, -n, 1]
     coeffs = [1]
     for k in range(1, K + 1):
@@ -179,12 +193,11 @@ def quantum_plane_dims(f: BForm, d_max: int = 3) -> dict:
 
 @dataclass(frozen=True)
 class SymmetrizerResult:
-    """Top isotypic projector of N sites with its rank, idempotence residual
-    and the report rows ``symmetrizer_idempotent`` and ``symmetrizer_rank``."""
+    """Top isotypic projector of N sites with its rank and the report rows
+    ``symmetrizer_idempotent`` and ``symmetrizer_rank``."""
 
     projector: ChainOp
     rank: int
-    idempotence: float
     report: ResidualReport
 
 
@@ -211,7 +224,7 @@ def symmetrizer(f: BForm, N: int) -> SymmetrizerResult:
         d = n ** m
         ext = np.kron(cur, np.eye(n, dtype=complex))
         # ext @ (I (x) R(u)): R(u) mixes the last two column indices
-        half = (ext.reshape(-1, n * n) @ spectral_R(f, f.q ** (m - 1)).op.mat).reshape(d, d // n, n)
+        half = (ext.reshape(-1, n * n) @ spectral_R(f, f.q ** (m - 1)).mat).reshape(d, d // n, n)
         # half @ (cur (x) I): cur contracts the column index of the first m - 1 sites
         raw = np.tensordot(half, cur, axes=(1, 0)).transpose(0, 2, 1).reshape(d, d)
         trace = np.trace(raw)
@@ -229,8 +242,8 @@ def symmetrizer(f: BForm, N: int) -> SymmetrizerResult:
     expected = dims_p(n, N)[N]
     if rank != expected:
         raise NormalizationFailure(f"symmetrizer rank {rank} != p_N(n) = {expected}")
-    report = ResidualReport(config={"family": f.family, "n": n, "N": N})
+    report = ResidualReport()
     report.add("symmetrizer_idempotent", idem, PRODUCT_TOL)
     report.add("symmetrizer_rank", float(abs(rank - expected)), 0.0)
     projector = ChainOp(n=n, N=N, matrix=sp.csr_matrix(cur), label=f"P+^{N}")
-    return SymmetrizerResult(projector=projector, rank=rank, idempotence=idem, report=report)
+    return SymmetrizerResult(projector=projector, rank=rank, report=report)

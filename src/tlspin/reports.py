@@ -36,8 +36,6 @@ class CheckResult:
 @dataclass
 class ResidualReport:
     checks: list[CheckResult] = field(default_factory=list)
-    config: dict = field(default_factory=dict)
-    wall_time_ms: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -55,13 +53,6 @@ class ResidualReport:
 
     def failing(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.passed]
-
-    def to_dict(self) -> dict:
-        return {
-            "checks": [c.to_dict() for c in self.checks],
-            "config": self.config,
-            "wall_time_ms": self.wall_time_ms,
-        }
 
 
 def complex_to_pair(z) -> list[float]:

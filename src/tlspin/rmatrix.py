@@ -31,15 +31,6 @@ def spectral_weight(z: complex) -> complex:
     return z - 1 / z
 
 
-@dataclass(frozen=True)
-class SpectralR:
-    """The Baxterized solution R(u) = w(uq) I + w(u) X at a fixed u."""
-
-    bform: BForm
-    u: complex
-    op: LocalOp
-
-
 def constant_R(f: BForm) -> LocalOp:
     """The constant braid solution R = q I + X."""
     x = local_X(f)
@@ -65,14 +56,14 @@ def projectors(f: BForm) -> tuple[LocalOp, LocalOp]:
     return LocalOp(f.n, p_plus, label="P+"), LocalOp(f.n, p_minus, label="P-")
 
 
-def spectral_R(f: BForm, u: complex) -> SpectralR:
-    """Baxterized matrix w(uq) I + w(u) X; equals u R - (1/u) R^{-1}."""
+def spectral_R(f: BForm, u: complex) -> LocalOp:
+    """The Baxterized solution R(u) = w(uq) I + w(u) X, labelled "R(u=...)"; equals u R - (1/u) R^{-1}."""
     u = complex(u)
     if u == 0:
         raise ZeroSpectralParameter("spectral parameter u must be nonzero")
     x = local_X(f)
     mat = spectral_weight(u * f.q) * np.eye(f.n ** 2, dtype=complex) + spectral_weight(u) * x.mat
-    return SpectralR(bform=f, u=u, op=LocalOp(f.n, mat, label=f"R(u={u:g})"))
+    return LocalOp(f.n, mat, label=f"R(u={u:g})")
 
 
 def _on_three_sites(op: LocalOp) -> tuple[np.ndarray, np.ndarray]:
@@ -85,20 +76,20 @@ def check_braid(f: BForm) -> ResidualReport:
     r12, r23 = _on_three_sites(constant_R(f))
     lhs = r12 @ r23 @ r12
     rhs = r23 @ r12 @ r23
-    report = ResidualReport(config={"family": f.family, "n": f.n})
+    report = ResidualReport()
     report.add("braid", rel_residual(lhs - rhs, [lhs, rhs]), PRODUCT_TOL)
     return report
 
 
 def check_spectral_ybe(f: BForm, u: complex, v: complex) -> ResidualReport:
     """Residual of R12(u) R23(uv) R12(v) - R23(v) R12(uv) R23(u), against PRODUCT_TOL (1e-8)."""
-    ru, ruv, rv = (spectral_R(f, z).op for z in (u, u * v, v))
+    ru, ruv, rv = (spectral_R(f, z) for z in (u, u * v, v))
     ru12, ru23 = _on_three_sites(ru)
     ruv12, ruv23 = _on_three_sites(ruv)
     rv12, rv23 = _on_three_sites(rv)
     lhs = ru12 @ ruv23 @ rv12
     rhs = rv23 @ ruv12 @ ru23
-    report = ResidualReport(config={"family": f.family, "n": f.n, "u": str(u), "v": str(v)})
+    report = ResidualReport()
     report.add("spectral_ybe", rel_residual(lhs - rhs, [lhs, rhs]), PRODUCT_TOL)
     return report
 
@@ -109,10 +100,10 @@ def check_tl_cubic(f: BForm) -> ResidualReport:
     orders, each against PRODUCT_TOL (1e-8)."""
     q = f.q
     eye3 = np.eye(f.n ** 3, dtype=complex)
-    report = ResidualReport(config={"family": f.family, "n": f.n})
+    report = ResidualReport()
 
-    a12, a23 = _on_three_sites(spectral_R(f, 1 / q).op)
-    b12, b23 = _on_three_sites(spectral_R(f, 1 / q ** 2).op)
+    a12, a23 = _on_three_sites(spectral_R(f, 1 / q))
+    b12, b23 = _on_three_sites(spectral_R(f, 1 / q ** 2))
     # residuals are relative to the largest factor entry (|q| > 1 inflates
     # absolute products)
     report.add("cubic_spectral_121", rel_residual(a12 @ b23 @ a12, [a12, b23]), PRODUCT_TOL)
@@ -132,7 +123,6 @@ class AntisymmetrizerResult:
     """Outcome of the degree-3 antisymmetrizer vanishing scan."""
 
     op: np.ndarray
-    residual: float
     coefficient_used: complex
     winner: str
     candidate_residuals: dict
@@ -171,12 +161,11 @@ def q_antisymmetrizer(f: BForm) -> AntisymmetrizerResult:
     coeff = candidates[winner]
     a3 = base - coeff * triple
 
-    report = ResidualReport(config={"family": f.family, "n": f.n})
+    report = ResidualReport()
     report.add(f"antisym_vanishing[{winner}]", residuals[winner], PRODUCT_TOL)
     report.add("antisym_unique_named_candidate", float(abs(len(named_hits) - 1)), 0.0)
     return AntisymmetrizerResult(
         op=a3,
-        residual=residuals[winner],
         coefficient_used=coeff,
         winner=winner,
         candidate_residuals=residuals,
@@ -191,10 +180,10 @@ def check_unitarity(f: BForm, u: complex) -> ResidualReport:
     q = f.q
     x = local_X(f).mat
     eye = np.eye(f.n ** 2, dtype=complex)
-    lhs = spectral_R(f, u).op.mat @ spectral_R(f, 1 / u).op.mat
+    lhs = spectral_R(f, u).mat @ spectral_R(f, 1 / u).mat
     coeff_x = w(u * q) * w(1 / u) + w(u) * w(q / u) + f.tau * w(u) * w(1 / u)
     rhs = w(u * q) * w(q / u) * eye + coeff_x * x
-    report = ResidualReport(config={"family": f.family, "u": str(u)})
+    report = ResidualReport()
     report.add("spectral_unitarity", rel_residual(lhs - rhs, [lhs, rhs]), GLOBAL_TOL)
     return report
 
@@ -213,6 +202,6 @@ def check_weight_symmetry(f: BForm) -> ResidualReport:
     total = np.kron(h, eye) + np.kron(eye, h)
     r = constant_R(f).mat
     comm = r @ total - total @ r
-    report = ResidualReport(config={"family": f.family})
+    report = ResidualReport()
     report.add("weight_symmetry_local", rel_residual(comm, [r @ total, total @ r]), 1e-12)
     return report

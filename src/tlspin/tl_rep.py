@@ -114,7 +114,7 @@ def check_tl_relations(f: BForm, N: int) -> ResidualReport:
         raise ValueError("the sandwich relation needs N >= 3")
     x = local_X(f)
     xs = {j: embed(x, j, N).matrix for j in range(1, N)}
-    report = ResidualReport(config={"family": f.family, "n": f.n, "N": N})
+    report = ResidualReport()
     nu = f.nu
     for j in range(1, N):
         sq = xs[j] @ xs[j]

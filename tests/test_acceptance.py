@@ -67,11 +67,12 @@ def test_criterion_04_two_site_decomposition(kls):
     p_plus, p_minus = t.projectors(kls)
     ranks_ok = numerical_rank(p_plus.mat) == 8 and numerical_rank(p_minus.mat) == 1
     ev = t.highest_weight_scan(kls)
-    ok = ranks_ok and ev.orbit_rank == 8 and ev.line_eigenvalue_residual <= 1e-10
+    line_eigenvalue = next(c.residual for c in ev.report.checks if c.name == "invariant_line_eigenvalue")
+    ok = ranks_ok and ev.orbit_rank == 8 and line_eigenvalue <= 1e-10
     _line(
         4,
         f"3x3 tensor square splits 8+1 (orbit rank {ev.orbit_rank}, "
-        f"line eigenvalue residual {ev.line_eigenvalue_residual:.2e})",
+        f"line eigenvalue residual {line_eigenvalue:.2e})",
         ok,
     )
 
@@ -153,7 +154,8 @@ def test_criterion_10_antisymmetrizer_coefficient(kls, xxz, random_bform):
     for f in [kls, xxz] + [random_bform(80 + s, 2 + s % 3) for s in range(6)]:
         res = t.q_antisymmetrizer(f)
         named_hits = [c for c in ("q^-1", "q^-3") if res.candidate_residuals[c] <= 1e-8]
-        ok &= len(named_hits) == 1 and res.residual <= 1e-8
+        vanishing = next(c.residual for c in res.report.checks if c.name == f"antisym_vanishing[{res.winner}]")
+        ok &= len(named_hits) == 1 and vanishing <= 1e-8
         winners.add(res.winner)
     ok &= winners == {"q^-3"}
     _line(10, f"antisymmetrizer vanishes for exactly one coefficient: {sorted(winners)}", ok)

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -201,6 +202,27 @@ class TestDecomposeCommand:
         assert json.loads(err)["error"] == "SizeBudgetExceeded"
 
 
+class TestIntegerBudgets:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("decompose", "--n", "3", "--N", "20000"),
+            ("poincare", "--n", "3", "--K", "300000"),
+            ("poincare", "--n", "2", "--K", "50000000"),
+            # terms past CPython's 4300-digit int-to-str limit
+            ("poincare", "--n", "3", "--K", "12000"),
+            ("decompose", "--n", str(10 ** 200), "--N", "30"),
+        ],
+    )
+    def test_over_budget_fails_fast(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 2.0
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "SizeBudgetExceeded"
+
+
 class TestRmatrixCommand:
     def test_constant_matrix(self, capsys):
         code, out, _ = run_cli(capsys, "rmatrix", "--family", "xxz", "--q", "3")
@@ -247,7 +269,8 @@ class TestOtherCommands:
         residuals = {c["name"]: c["residual"] for c in body["checks"]}
         assert code == 0
         assert body["tables"]["symmetrizer"]["rank"] == lib.rank
-        assert residuals["symmetrizer_idempotent"] == lib.idempotence
+        idempotent = next(c.residual for c in lib.report.checks if c.name == "symmetrizer_idempotent")
+        assert residuals["symmetrizer_idempotent"] == idempotent
 
     def test_grouplike_residual_shared_by_verify_and_casimir(self, capsys):
         source = ("--family", "kls", "--p", "1.5+0.5j")

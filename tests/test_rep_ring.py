@@ -29,7 +29,7 @@ def dense_kron_symmetrizer(f, N):
     cur = t.projectors(f)[0].mat
     for m in range(3, N + 1):
         ext = np.kron(cur, np.eye(n))
-        rme = np.kron(np.eye(n ** (m - 2)), t.spectral_R(f, f.q ** (m - 1)).op.mat)
+        rme = np.kron(np.eye(n ** (m - 2)), t.spectral_R(f, f.q ** (m - 1)).mat)
         raw = ext @ rme @ ext
         cur = raw * np.trace(raw) / np.trace(raw @ raw)
     return cur
@@ -87,6 +87,18 @@ class TestCatalan:
             t.catalan(31)
         with pytest.raises(ValueError):
             t.catalan(-1)
+        with pytest.raises(t.SizeBudgetExceeded):
+            t.decomposition_table(3, 31)
+
+    def test_series_budget(self):
+        # K * bit_length(n) <= 14000: the last term still prints in decimal
+        assert len(str(t.dims_p(3, 7000)[-1])) < 4300
+        assert len(str(t.poincare_series(2 ** 13999, 1)[-1])) < 4300
+        for n, K in ((3, 7001), (2 ** 14000, 1), (10 ** 200, 30)):
+            with pytest.raises(t.SizeBudgetExceeded):
+                t.dims_p(n, K)
+            with pytest.raises(t.SizeBudgetExceeded):
+                t.poincare_series(n, K)
 
 
 class TestDecompositionTable:

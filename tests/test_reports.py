@@ -16,8 +16,7 @@ def test_report_aggregation():
     assert not report.passed
     assert report.max_residual == 2.0
     assert [c.name for c in report.failing()] == ["y"]
-    d = report.to_dict()
-    assert d["checks"][0] == {"name": "x", "residual": 0.5, "threshold": 1.0, "pass": True}
+    assert report.checks[0].to_dict() == {"name": "x", "residual": 0.5, "threshold": 1.0, "pass": True}
 
 
 def test_complex_serialization():
