@@ -43,6 +43,15 @@ CATALAN_MAX_N = 30
 SERIES_BITS_BUDGET = 14000
 
 
+def _check_series_budget(n: int, K: int, what: str) -> None:
+    """SizeBudgetExceeded unless K * bit_length(n) lies within SERIES_BITS_BUDGET."""
+    width = int(n).bit_length()
+    if K * width > SERIES_BITS_BUDGET:
+        raise SizeBudgetExceeded(
+            f"{what}: order {K} x {width}-bit n = {K * width} bits exceeds budget {SERIES_BITS_BUDGET} bits"
+        )
+
+
 def dims_p(n: int, k_max: int) -> list[int]:
     """[p_0, ..., p_k_max] from the recurrence n p_k = p_{k+1} + p_{k-1}.
 
@@ -52,7 +61,7 @@ def dims_p(n: int, k_max: int) -> list[int]:
         raise ValueError("n must be >= 2")
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    check_size_budget(k_max * int(n).bit_length(), SERIES_BITS_BUDGET, "dims_p")
+    _check_series_budget(n, k_max, "dims_p")
     out = [1]
     prev, cur = 0, 1
     for _ in range(k_max):
@@ -146,7 +155,7 @@ def poincare_series(n: int, K: int) -> list[int]:
     """
     if K < 0:
         raise ValueError("K must be >= 0")
-    check_size_budget(K * int(n).bit_length(), SERIES_BITS_BUDGET, "poincare_series")
+    _check_series_budget(n, K, "poincare_series")
     denom = [1, -n, 1]
     coeffs = [1]
     for k in range(1, K + 1):

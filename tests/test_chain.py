@@ -4,6 +4,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
@@ -13,6 +14,7 @@ from tlspin.chain import (
     CLUSTER_TOL_GENERAL,
     Cluster,
     SpectrumReport,
+    _blocks,
     _cluster_eigenvalues,
     _link_states,
     _standard_module,
@@ -148,6 +150,81 @@ class TestSpectrum:
         h = t.hamiltonian(xxz, 13)
         with pytest.raises(t.SizeBudgetExceeded):
             t.spectrum(h)
+
+
+def _gauged_kls(seed):
+    """kls p=2 under a dense congruence M b M^t: b has no zero entry left."""
+    rng = np.random.default_rng(seed)
+    return t.gauge_transform(t.builtin_bform("kls", 2), _haar(rng, 3) @ np.diag([1.0, 1.5, 2.0]) @ _haar(rng, 3))
+
+
+def assert_matches_whole_solve(rep, h):
+    """Clusters of the block solve against those of one np.linalg.eigvals call on all of H.
+
+    Matched one to one by value within the clustering radius, with equal
+    multiplicities.
+    """
+    whole = _cluster_eigenvalues(np.linalg.eigvals(h.to_dense()), rep.cluster_tol)
+    assert len(whole) == len(rep.clusters)
+    got = np.array([c.value for c in rep.clusters])
+    want = np.array([c.value for c in whole])
+    gap = np.abs(got[:, None] - want[None, :])
+    rows, cols = linear_sum_assignment(gap)
+    assert np.all(gap[rows, cols] <= rep.cluster_tol * (1 + np.abs(want[cols])))
+    assert [rep.clusters[i].multiplicity for i in rows] == [whole[j].multiplicity for j in cols]
+
+
+class TestBlocks:
+    def test_partition_with_no_coupling_between_blocks(self, kls, xxz):
+        for f, N in ((kls, 2), (kls, 5), (xxz, 8), (t.builtin_bform("xxz", 2j), 6), (_gauged_kls(5), 4)):
+            h = t.hamiltonian(f, N)
+            blocks = _blocks(h.matrix)
+            assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(h.dim))
+            owner = np.empty(h.dim, dtype=int)
+            for i, b in enumerate(blocks):
+                assert np.all(np.diff(b) > 0)
+                owner[b] = i
+            coo = h.matrix.tocoo()
+            assert np.array_equal(owner[coo.row[coo.data != 0]], owner[coo.col[coo.data != 0]])
+
+    def test_one_sided_coupling_joins(self):
+        # only M[i, i+1] is set: an entry on either side of the diagonal joins two indices
+        m = sp.csr_matrix((np.ones(4), (np.arange(4), np.arange(1, 5))), shape=(6, 6))
+        for mat in (m, m.T.tocsr()):
+            assert [b.tolist() for b in _blocks(mat)] == [[0, 1, 2, 3, 4], [5]]
+
+    def test_block_counts(self, kls):
+        assert len(_blocks(t.hamiltonian(kls, 6).matrix)) > 1
+        assert len(_blocks(t.hamiltonian(t.builtin_bform("xxz", 3), 8).matrix)) > 1
+        assert len(_blocks(t.hamiltonian(_gauged_kls(5), 4).matrix)) == 1
+
+    def test_clusters_match_whole_matrix_solve(self, kls):
+        cases = [(kls, N) for N in range(2, 7)]
+        cases += [(t.builtin_bform("kls", 1.5 + 0.5j), 5), (t.builtin_bform("xxz", 3), 8)]
+        cases += [(t.builtin_bform("xxz", 2j), N) for N in (6, 7)] + [(_gauged_kls(5), 4)]
+        for f, N in cases:
+            h = t.hamiltonian(f, N)
+            assert_matches_whole_solve(t.spectrum(h), h)
+
+    def test_single_block_is_the_whole_solve(self):
+        # a dense b: one block, solved as the matrix itself, bit for bit
+        h = t.hamiltonian(_gauged_kls(5), 4)
+        whole = np.linalg.eigvals(h.to_dense())
+        assert np.array_equal(np.array(t.spectrum(h).eigenvalues), whole[np.lexsort((whole.imag, whole.real))])
+
+
+@settings(max_examples=20, deadline=2000, derandomize=True, database=None)
+@given(p=st.floats(1.1, 3.0), d1=st.floats(1.0, 1.2), d2=st.floats(1.5, 2.0), N=st.integers(2, 5))
+def test_diagonal_congruence_keeps_blocks_and_multiplicities(p, d1, d2, N):
+    # D b D keeps the support of b, so H keeps its blocks; it is similar to the
+    # kls H through D^(x)N (condition <= 2^N), and d1^2 != d2 makes it non-Hermitian
+    f = t.builtin_bform("kls", p)
+    g = t.gauge_transform(f, np.diag([1.0, d1, d2]))
+    h = t.hamiltonian(g, N)
+    assert [b.tolist() for b in _blocks(h.matrix)] == [b.tolist() for b in _blocks(t.hamiltonian(f, N).matrix)]
+    rep = t.spectrum(h)
+    assert not rep.hermitian
+    assert_matches_whole_solve(rep, h)
 
 
 class TestIsotypic:

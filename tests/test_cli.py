@@ -202,25 +202,31 @@ class TestDecomposeCommand:
         assert json.loads(err)["error"] == "SizeBudgetExceeded"
 
 
+# over-budget integer commands and their stderr messages; the series
+# budgets count bits, not a dimension
+OVER_BUDGET = {
+    ("decompose", "--n", "3", "--N", "20000"): "catalan: N = 20000 exceeds the integer budget 30",
+    ("poincare", "--n", "3", "--K", "300000"):
+        "poincare_series: order 300000 x 2-bit n = 600000 bits exceeds budget 14000 bits",
+    ("poincare", "--n", "2", "--K", "50000000"):
+        "poincare_series: order 50000000 x 2-bit n = 100000000 bits exceeds budget 14000 bits",
+    # terms past CPython's 4300-digit int-to-str limit
+    ("poincare", "--n", "3", "--K", "12000"):
+        "poincare_series: order 12000 x 2-bit n = 24000 bits exceeds budget 14000 bits",
+    ("decompose", "--n", str(10 ** 200), "--N", "30"):
+        "dims_p: order 30 x 665-bit n = 19950 bits exceeds budget 14000 bits",
+}
+
+
 class TestIntegerBudgets:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("decompose", "--n", "3", "--N", "20000"),
-            ("poincare", "--n", "3", "--K", "300000"),
-            ("poincare", "--n", "2", "--K", "50000000"),
-            # terms past CPython's 4300-digit int-to-str limit
-            ("poincare", "--n", "3", "--K", "12000"),
-            ("decompose", "--n", str(10 ** 200), "--N", "30"),
-        ],
-    )
+    @pytest.mark.parametrize("argv", list(OVER_BUDGET))
     def test_over_budget_fails_fast(self, capsys, argv):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - start < 2.0
         assert code == 2
         assert out == ""
-        assert json.loads(err)["error"] == "SizeBudgetExceeded"
+        assert json.loads(err) == {"error": "SizeBudgetExceeded", "message": OVER_BUDGET[argv]}
 
 
 class TestRmatrixCommand:

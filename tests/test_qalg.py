@@ -91,14 +91,6 @@ class TestLOperator:
         oracle = flip_operator(2) @ t.constant_R(xxz).mat
         assert np.array_equal(l_matrix(xxz).mat, oracle)
 
-    def test_grid_entries_are_blocks(self, kls):
-        grid = t.coproduct_T(kls, 1)
-        lm = l_matrix(kls).mat
-        for a in range(3):
-            for b in range(3):
-                block = lm[a * 3:(a + 1) * 3, b * 3:(b + 1) * 3]
-                assert np.array_equal(grid.dense_entry(a, b), block)
-
 
 class TestGeneratorBlocks:
     def test_lowering_blocks(self, kls):
