@@ -23,7 +23,7 @@ import scipy.sparse as sp
 
 from .bform import BForm
 from .errors import ConvergenceFailure, NoConsistentAssignment
-from .linalg import GLOBAL_TOL, SPARSE_SIZE_BUDGET, check_size_budget, rel_residual
+from .linalg import DENSE_SIZE_BUDGET, GLOBAL_TOL, SPARSE_SIZE_BUDGET, check_size_budget, rel_residual
 from .reports import ResidualReport, complex_to_pair
 from .rep_ring import DecompositionTable
 from .rmatrix import weight_operator
@@ -143,31 +143,52 @@ def _blocks(matrix: sp.csr_matrix) -> list[np.ndarray]:
     return np.split(np.argsort(labels, kind="stable"), np.cumsum(counts)[:-1])
 
 
+def _block_stack(coo: sp.coo_matrix, idx: np.ndarray) -> np.ndarray:
+    """The (count, size, size) stack of diagonal blocks of M on the rows idx[c], scattered from its entries.
+
+    Every entry of M in a row of block c lies in a column of block c, since
+    the blocks are connected components of the pattern of M + M^T.
+    """
+    count, size = idx.shape
+    block = np.full(coo.shape[0], -1)
+    block[idx] = np.arange(count)[:, None]
+    local = np.zeros(coo.shape[0], dtype=int)
+    local[idx] = np.arange(size)
+    mine = block[coo.row] >= 0
+    rows, cols = coo.row[mine], coo.col[mine]
+    stack = np.zeros((count, size, size), dtype=coo.dtype)
+    stack[block[rows], local[rows], local[cols]] = coo.data[mine]
+    return stack
+
+
 def spectrum(h: ChainOp, cluster_tol: float | None = None) -> SpectrumReport:
     """Full eigenvalue list of a chain operator, clustered by single linkage.
 
     Each connected component of the sparsity pattern of H + H^T spans an
     invariant subspace, so its diagonal block is solved on its own; blocks
-    of one size go to one stacked solver call.  Uses the Hermitian solver
-    when the operator is Hermitian (tighter default clustering); the
-    general solver otherwise.  The operator is densified within
-    DENSE_SIZE_BUDGET.  An explicit ``cluster_tol`` must be finite and
+    of one size go to one stacked solver call, scattered straight from the
+    sparse entries.  Uses the Hermitian solver when the operator is
+    Hermitian (tighter default clustering); the general solver otherwise.
+    n^N must lie within DENSE_SIZE_BUDGET, and only a block of the whole
+    space is densified.  An explicit ``cluster_tol`` must be finite and
     positive, or ValueError is raised.
     """
     if cluster_tol is not None and not 0 < cluster_tol < np.inf:
         raise ValueError(f"cluster_tol must be finite and positive, got {cluster_tol}")
-    dense = h.to_dense()
+    check_size_budget(h.dim, DENSE_SIZE_BUDGET, f"densifying {h.label or 'chain operator'}")
     hermitian = h.is_hermitian()
     if cluster_tol is None:
         cluster_tol = CLUSTER_TOL_HERMITIAN if hermitian else CLUSTER_TOL_GENERAL
     solve = np.linalg.eigvalsh if hermitian else np.linalg.eigvals
     blocks = _blocks(h.matrix)
+    coo = h.matrix.tocoo()
+    coo.sum_duplicates()
     parts = []
     try:
         for size in sorted({b.size for b in blocks}):
             idx = np.array([b for b in blocks if b.size == size])
             # a block of the whole space is the matrix itself, solved uncopied
-            stack = dense[None] if size == h.dim else dense[idx[:, :, None], idx[:, None, :]]
+            stack = h.to_dense()[None] if size == h.dim else _block_stack(coo, idx)
             parts.append(solve(stack).ravel())
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc

@@ -10,12 +10,16 @@ R_{k,k+1} and hence with the chain Hamiltonian.
 
 Chain site index increases rightward in Kronecker products, so at N = 2 the
 entry T(2)[a, b] equals sum_k L[k, b] (x) L[a, k].  In general each new site
-enters as a Kronecker sum,
+enters on the left, as site 1,
 
-    T(m)[a, b] = sum_k T(m-1)[k, b] (x) L[a, k],
+    T(m)[a, b] = sum_k L[k, b] (x) T(m-1)[a, k],
 
-which is the auxiliary-space product (I (x) L[a, k]) @ (T(m-1)[k, b] (x) I)
-with its single-term entries written out, so no sparse product is formed.
+which by coassociativity equals the right-appended Kronecker sum
+sum_k T(m-1)[k, b] (x) L[a, k] (check_coassociativity compares the two).
+Entry (a, b) is then the n x n block matrix whose block (x, y) is
+sum_k L[k, b][x, y] * T(m-1)[a, k], and it is written directly as canonical
+CSR from row slices of the previous level: no Kronecker product and no
+sparse addition is formed.
 """
 
 from __future__ import annotations
@@ -93,13 +97,12 @@ def generator_blocks(f: BForm) -> dict[str, np.ndarray]:
 def coproduct_T(f: BForm, N: int) -> AuxOperatorMatrix:
     """The N-fold coproduct tower T(N) as an auxiliary-space grid.
 
-    Built iteratively: T(1) is the block grid of L, and the L of each
-    further site m (rightmost in the Kronecker product, leftmost in the
-    auxiliary product) enters by the Kronecker sum
-    T(m)[a, b] = sum_k T(m-1)[k, b] (x) L[a, k].
-    By the mixed-product rule this equals
-    sum_k (I (x) L[a, k]) @ (T(m-1)[k, b] (x) I), whose entries are each a
-    single product, so no sparse product is formed.  n^N must lie within
+    Built iteratively: T(1) is the block grid of L, and each further site
+    enters on the left of the Kronecker product (rightmost in the auxiliary
+    product), T(m)[a, b] = sum_k L[k, b] (x) T(m-1)[a, k], which by
+    coassociativity is the same T(m) as appending it on the right.  Each
+    level is written directly as canonical CSR (``_left_append``), with no
+    Kronecker product and no sparse addition.  n^N must lie within
     SPARSE_SIZE_BUDGET.
     """
     n = f.n
@@ -107,18 +110,57 @@ def coproduct_T(f: BForm, N: int) -> AuxOperatorMatrix:
         raise ValueError("coproduct tower needs N >= 1")
     check_size_budget(n ** N, SPARSE_SIZE_BUDGET, "coproduct_T")
     blocks = _l_blocks(f)
-    sparse_blocks = [[sp.csr_matrix(blocks[a, b]) for b in range(n)] for a in range(n)]
-    grid = sparse_blocks
+    grid = [[sp.csr_matrix(blocks[a, b]) for b in range(n)] for a in range(n)]
     for _ in range(2, N + 1):
-        grid = [
-            [_kron_sum([(grid[k][b], sparse_blocks[a][k]) for k in range(n)]) for b in range(n)]
-            for a in range(n)
-        ]
+        # row a of T(m) reads only row a of T(m-1), which is then dropped
+        for a in range(n):
+            grid[a] = [_left_append(grid[a], blocks[:, b]) for b in range(n)]
     entries = tuple(
         tuple(ChainOp(n=n, N=N, matrix=grid[a][b], label=f"T{N}[{a + 1},{b + 1}]") for b in range(n))
         for a in range(n)
     )
     return AuxOperatorMatrix(n_a=n, N=N, entries=entries)
+
+
+def _left_append(row: list, column: np.ndarray) -> sp.csr_matrix:
+    """sum_k column[k] (x) row[k] in canonical CSR, for n x n blocks column[k] = L[k, b].
+
+    The result is the n x n block matrix whose block (x, y) is
+    sum_k L[k, b][x, y] * row[k].  Its segments (x, y, k) are the nonzero
+    coefficients, in that order, and its row (x, i) is the run of row i of
+    each segment of block row x, scaled by the coefficient and shifted by y
+    blocks; index arithmetic lays the runs down.  When each block holds one
+    segment (the graded built-in families) the runs are already canonical;
+    otherwise duplicate columns are summed and exact cancellations dropped.
+    """
+    n = column.shape[0]
+    d = row[0].shape[0]
+    x, y, k = np.nonzero(column.transpose(1, 2, 0))
+    coef = column[k, x, y]
+    # each segment's scaled, shifted copy of its entry, one after another
+    parts = [row[kk] for kk in k]
+    offset = np.cumsum([0] + [m.nnz for m in parts])
+    data = np.empty(offset[-1], dtype=complex)
+    indices = np.empty(offset[-1], dtype=row[0].indices.dtype)
+    for s, m in enumerate(parts):
+        np.multiply(m.data, coef[s], out=data[offset[s]:offset[s + 1]])
+        np.add(m.indices, y[s] * d, out=indices[offset[s]:offset[s + 1]])
+    # one run per (output row, segment of its block row), in output order
+    count = np.bincount(x, minlength=n)
+    row_ptr = np.concatenate(([0], np.cumsum(np.repeat(count, d))))
+    out_row = np.repeat(np.arange(n * d), np.diff(row_ptr))
+    seg = (np.cumsum(count) - count)[out_row // d] + np.arange(out_row.size) - row_ptr[out_row]
+    i = out_row % d
+    ptr = np.stack([m.indptr for m in parts])
+    start = offset[seg] + ptr[seg, i]
+    length = ptr[seg, i + 1] - ptr[seg, i]
+    run_ptr = np.concatenate(([0], np.cumsum(length)))
+    gather = np.repeat(start - run_ptr[:-1], length) + np.arange(run_ptr[-1])
+    indptr = run_ptr[row_ptr].astype(indices.dtype)
+    matrix = sp.csr_matrix((data[gather], indices[gather], indptr), shape=(n * d, n * d))
+    matrix.sum_duplicates()
+    matrix.eliminate_zeros()
+    return matrix
 
 
 def _kron_sum(pairs) -> sp.csr_matrix:
@@ -275,7 +317,10 @@ def check_rll(f: BForm) -> ResidualReport:
 
 
 def check_coassociativity(f: BForm) -> ResidualReport:
-    """T(3) built site-3-first equals T(3) built site-1-last, within GLOBAL_TOL (1e-10)."""
+    """T(3), built with site 1 entering last, equals T(2) with site 3 appended, within GLOBAL_TOL (1e-10).
+
+    The right-hand side is the Kronecker sum sum_k T(2)[k, b] (x) L[a, k].
+    """
     n = f.n
     t3 = coproduct_T(f, 3)
     t2 = coproduct_T(f, 2)
@@ -285,8 +330,8 @@ def check_coassociativity(f: BForm) -> ResidualReport:
     scale = 0.0
     for a in range(n):
         for b in range(n):
-            # a single L on site 1 times T(2) placed on sites 2,3
-            pairs = [(sp.csr_matrix(blocks[k, b]), t2.entry(a, k).matrix) for k in range(n)]
+            # T(2) on sites 1,2 times a single L on site 3
+            pairs = [(t2.entry(k, b).matrix, sp.csr_matrix(blocks[a, k])) for k in range(n)]
             diff = t3.entry(a, b).matrix - _kron_sum(pairs)
             worst = max(worst, max_abs(diff))
             scale = max(scale, max_abs(t3.entry(a, b).matrix))

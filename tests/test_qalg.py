@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tlspin as t
 from tlspin.linalg import flip_operator
@@ -63,7 +65,7 @@ def aux_product_oracle(f, N):
 
 
 def kron_matmul_tower(f, N):
-    """The former assembly: sum_k (I (x) L[a, k]) @ (T(m-1)[k, b] (x) I), by sparse products."""
+    """The left-appended assembly sum_k (L[k, b] (x) I) @ (I (x) T(m-1)[a, k]), by sparse products."""
     n = f.n
     blocks = [[sp.csr_matrix(t.coproduct_T(f, 1).dense_entry(a, b)) for b in range(n)] for a in range(n)]
     grid = blocks
@@ -75,12 +77,38 @@ def kron_matmul_tower(f, N):
             for b in range(n):
                 acc = None
                 for k in range(n):
-                    term = sp.kron(eye, blocks[a][k], format="csr") @ sp.kron(grid[k][b], sp.identity(n), format="csr")
+                    term = sp.kron(blocks[k][b], eye, format="csr") @ sp.kron(sp.identity(n), grid[a][k], format="csr")
                     acc = term if acc is None else acc + term
                 row.append(acc.tocsr())
             new_grid.append(row)
         grid = new_grid
     return grid
+
+
+def right_appended_tower(f, N):
+    """The right-appended recursion T(m)[a, b] = sum_k T(m-1)[k, b] (x) L[a, k], by sp.kron and CSR sums."""
+    n = f.n
+    blocks = [[sp.csr_matrix(t.coproduct_T(f, 1).dense_entry(a, b)) for b in range(n)] for a in range(n)]
+    grid = blocks
+    for _ in range(2, N + 1):
+        new_grid = []
+        for a in range(n):
+            row = []
+            for b in range(n):
+                acc = None
+                for k in range(n):
+                    term = sp.kron(grid[k][b], blocks[a][k], format="csr")
+                    acc = term if acc is None else acc + term
+                row.append(acc)
+            new_grid.append(row)
+        grid = new_grid
+    return grid
+
+
+def assert_canonical(matrix):
+    """Sorted, duplicate-free column indices and no stored zeros."""
+    assert matrix.has_canonical_format
+    assert np.all(matrix.data != 0)
 
 
 class TestLOperator:
@@ -147,7 +175,7 @@ class TestCoproduct:
                         assert err <= 1e-12 * scale, (f.family, f.n, N, a, b)
 
     def test_real_families_equal_kron_matmul_exactly(self, kls, xxz):
-        # each product entry is a single term, so for real entries the sums agree bit for bit
+        # each product entry is a single term L * T', so for real entries the sums agree bit for bit
         for f, n_max in ((kls, 5), (xxz, 7)):
             for N in range(2, n_max + 1):
                 tower = t.coproduct_T(f, N)
@@ -158,6 +186,21 @@ class TestCoproduct:
                         assert got.nnz == old[a][b].nnz
                         assert np.array_equal(got.toarray(), old[a][b].toarray())
 
+    def test_graded_families_match_right_appended_recursion(self, kls, xxz):
+        # one segment per block: the same pattern, and values that differ only by
+        # the association of each product of N coefficients
+        for f in (kls, t.builtin_bform("kls", 1.5 + 0.5j), xxz):
+            for N in range(2, 8):
+                tower = t.coproduct_T(f, N)
+                ref = right_appended_tower(f, N)
+                for a in range(f.n):
+                    for b in range(f.n):
+                        got, want = tower.entry(a, b).matrix, ref[a][b]
+                        assert_canonical(got)
+                        assert np.array_equal(got.indptr, want.indptr), (f.family, N, a, b)
+                        assert np.array_equal(got.indices, want.indices), (f.family, N, a, b)
+                        assert np.all(np.abs(got.data - want.data) <= 1e-15 * np.abs(want.data)), (f.family, N, a, b)
+
     def test_coassociativity(self, kls, xxz):
         assert t.check_coassociativity(kls).passed
         assert t.check_coassociativity(xxz).passed
@@ -165,6 +208,38 @@ class TestCoproduct:
     def test_budget(self, xxz):
         with pytest.raises(t.SizeBudgetExceeded):
             t.coproduct_T(xxz, 16)
+
+
+def dense_random_bform(seed, n):
+    rng = np.random.default_rng(seed)
+    return t.make_bform(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+
+
+# D b D keeps the support of kls b, one segment per block; a dense random b puts
+# several segments on each block, and their sums take the duplicate-column path
+TOWER_BFORMS = st.one_of(
+    st.builds(
+        lambda p, d1, d2: t.gauge_transform(t.builtin_bform("kls", p), np.diag([1.0, d1, d2])),
+        st.floats(1.1, 3.0),
+        st.floats(0.5, 2.0),
+        st.floats(0.5, 2.0),
+    ),
+    st.builds(dense_random_bform, st.integers(0, 2 ** 32 - 1), st.sampled_from([3, 4])),
+)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(f=TOWER_BFORMS, N=st.integers(2, 4))
+def test_tower_matches_right_appended_recursion(f, N):
+    N = min(N, 7 - f.n)
+    tower = t.coproduct_T(f, N)
+    ref = right_appended_tower(f, N)
+    scale = max(abs(ref[a][b]).max() for a in range(f.n) for b in range(f.n))
+    for a in range(f.n):
+        for b in range(f.n):
+            got = tower.entry(a, b).matrix
+            assert_canonical(got)
+            assert abs(got - ref[a][b]).max() <= 1e-13 * scale
 
 
 class TestCentralizer:
