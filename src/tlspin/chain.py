@@ -118,13 +118,13 @@ def _cluster_eigenvalues(values: np.ndarray, tol: float) -> list[Cluster]:
     return clusters
 
 
-def _blocks(matrix: sp.csr_matrix) -> list[np.ndarray]:
+def _blocks(matrix: sp.spmatrix) -> list[np.ndarray]:
     """Ascending index sets of the connected components of the pattern of M + M^T.
 
     Each index starts as its own label and takes the smallest label among
     itself and its neighbours, and labels are then chased to their roots
     (pointer jumping), until a sweep changes nothing; every index of a
-    component then carries one root label.
+    component then carries one root label.  A COO matrix is read as it is.
     """
     dim = matrix.shape[0]
     coo = matrix.tocoo()
@@ -143,22 +143,30 @@ def _blocks(matrix: sp.csr_matrix) -> list[np.ndarray]:
     return np.split(np.argsort(labels, kind="stable"), np.cumsum(counts)[:-1])
 
 
-def _block_stack(coo: sp.coo_matrix, idx: np.ndarray) -> np.ndarray:
-    """The (count, size, size) stack of diagonal blocks of M on the rows idx[c], scattered from its entries.
+def _block_stacks(coo: sp.coo_matrix, blocks: list[np.ndarray]):
+    """Yield the diagonal blocks of M as one (count, size, size) stack per block size, ascending.
 
-    Every entry of M in a row of block c lies in a column of block c, since
-    the blocks are connected components of the pattern of M + M^T.
+    The blocks are laid end to end by size (blocks of one size keep their
+    order), which makes M block diagonal; its entries are sorted once by
+    their row in that order, and each stack is a contiguous run of them.
+    Every entry in a row of a block lies in a column of the same block,
+    since the blocks are connected components of the pattern of M + M^T.
     """
-    count, size = idx.shape
-    block = np.full(coo.shape[0], -1)
-    block[idx] = np.arange(count)[:, None]
-    local = np.zeros(coo.shape[0], dtype=int)
-    local[idx] = np.arange(size)
-    mine = block[coo.row] >= 0
-    rows, cols = coo.row[mine], coo.col[mine]
-    stack = np.zeros((count, size, size), dtype=coo.dtype)
-    stack[block[rows], local[rows], local[cols]] = coo.data[mine]
-    return stack
+    blocks = sorted(blocks, key=len)
+    sizes = np.array([b.size for b in blocks])
+    position = np.empty(coo.shape[0], dtype=int)
+    position[np.concatenate(blocks)] = np.arange(coo.shape[0])
+    rows, cols = position[coo.row], position[coo.col]
+    order = np.argsort(rows, kind="stable")
+    rows, cols, data = rows[order], cols[order], coo.data[order]
+    start = 0
+    for size, count in zip(*np.unique(sizes, return_counts=True)):
+        lo, hi = np.searchsorted(rows, [start, start + count * size])
+        r, c = rows[lo:hi] - start, cols[lo:hi] - start
+        stack = np.zeros((count, size, size), dtype=data.dtype)
+        stack[r // size, r % size, c % size] = data[lo:hi]
+        yield stack
+        start += count * size
 
 
 def spectrum(h: ChainOp, cluster_tol: float | None = None) -> SpectrumReport:
@@ -169,9 +177,8 @@ def spectrum(h: ChainOp, cluster_tol: float | None = None) -> SpectrumReport:
     of one size go to one stacked solver call, scattered straight from the
     sparse entries.  Uses the Hermitian solver when the operator is
     Hermitian (tighter default clustering); the general solver otherwise.
-    n^N must lie within DENSE_SIZE_BUDGET, and only a block of the whole
-    space is densified.  An explicit ``cluster_tol`` must be finite and
-    positive, or ValueError is raised.
+    n^N must lie within DENSE_SIZE_BUDGET.  An explicit ``cluster_tol`` must
+    be finite and positive, or ValueError is raised.
     """
     if cluster_tol is not None and not 0 < cluster_tol < np.inf:
         raise ValueError(f"cluster_tol must be finite and positive, got {cluster_tol}")
@@ -180,16 +187,10 @@ def spectrum(h: ChainOp, cluster_tol: float | None = None) -> SpectrumReport:
     if cluster_tol is None:
         cluster_tol = CLUSTER_TOL_HERMITIAN if hermitian else CLUSTER_TOL_GENERAL
     solve = np.linalg.eigvalsh if hermitian else np.linalg.eigvals
-    blocks = _blocks(h.matrix)
     coo = h.matrix.tocoo()
     coo.sum_duplicates()
-    parts = []
     try:
-        for size in sorted({b.size for b in blocks}):
-            idx = np.array([b for b in blocks if b.size == size])
-            # a block of the whole space is the matrix itself, solved uncopied
-            stack = h.to_dense()[None] if size == h.dim else _block_stack(coo, idx)
-            parts.append(solve(stack).ravel())
+        parts = [solve(stack).ravel() for stack in _block_stacks(coo, _blocks(coo))]
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
     values = np.concatenate(parts).astype(complex)

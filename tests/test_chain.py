@@ -207,7 +207,7 @@ class TestBlocks:
             assert_matches_whole_solve(t.spectrum(h), h)
 
     def test_single_block_is_the_whole_solve(self):
-        # a dense b: one block, solved as the matrix itself, bit for bit
+        # a dense b: one block, scattered into a stack of one, bit for bit
         h = t.hamiltonian(_gauged_kls(5), 4)
         whole = np.linalg.eigvals(h.to_dense())
         assert np.array_equal(np.array(t.spectrum(h).eigenvalues), whole[np.lexsort((whole.imag, whole.real))])
