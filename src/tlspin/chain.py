@@ -11,7 +11,10 @@ The spectrum is solved one block at a time: the connected components of
 the sparsity pattern of H + H^T are invariant subspaces of H, so the
 eigenvalues of the diagonal blocks on them are those of H.  For the
 built-in families the blocks refine the U_q(sl2) weight sectors, with no
-grading computed; a dense b gives a single block, the whole matrix.
+grading computed; a dense b gives a single block, the whole matrix.  One
+connected-components routine (``_blocks``) serves both the sparsity
+pattern of H and the links between close eigenvalues that form the
+degenerate clusters.
 """
 
 from __future__ import annotations
@@ -89,31 +92,31 @@ class SpectrumReport:
 def _cluster_eigenvalues(values: np.ndarray, tol: float) -> list[Cluster]:
     """Single-linkage clusters: eigenvalues within tol * (1 + |lambda|) of each other join.
 
-    A sweep over the real-sorted list links each value to every later one
+    The clusters are the connected components (``_blocks``) of the graph
+    that links two (real, imag)-sorted values lying within the larger of
+    their radii.  Close sorted neighbours are linked, which connects each run
+    of them; past its run, each value is tested against every later one
     whose real part is still within reach, so values that share a real part
-    and interleave by round-off still meet their partners.  Each cluster is
-    labelled by its first member; members keep the (real, imag) order, and
-    a cluster's value is their mean.
+    and interleave by round-off still meet.  Every pair skipped lies inside
+    one run.  Members keep the sorted order, and a cluster's value is their
+    mean.
     """
     ordered = values[np.lexsort((values.imag, values.real))]
     radius = tol * (1 + np.abs(ordered))
     stop = np.searchsorted(ordered.real, ordered.real + np.max(radius, initial=0.0), side="right")
-    labels = np.arange(ordered.size)  # a label is the first index of its cluster
-    for i in range(ordered.size):
-        window = slice(i + 1, stop[i])
-        close = np.abs(ordered[window] - ordered[i]) <= np.maximum(radius[i], radius[window])
-        view = labels[window]
-        met = view[close]
-        formed = met[met <= i]  # partners already linked to an earlier value
-        if np.any(formed != labels[i]):
-            # merge clusters; nothing at or past stop[i] is linked yet
-            joined = np.unique(np.append(formed, labels[i]))
-            span = labels[joined[0]:stop[i]]
-            span[np.isin(span, joined)] = joined[0]
-        view[close] = labels[i]
-    _, counts = np.unique(labels, return_counts=True)
-    groups = np.split(ordered[np.argsort(labels, kind="stable")], np.cumsum(counts)[:-1])
-    clusters = [Cluster(value=complex(np.mean(g)), multiplicity=g.size) for g in groups]
+    step = np.abs(np.diff(ordered)) <= np.maximum(radius[:-1], radius[1:])
+    # a run ends after the first index not linked to its successor
+    breaks = np.append(np.flatnonzero(~step), ordered.size - 1)
+    run_end = breaks[np.searchsorted(breaks, np.arange(ordered.size))] + 1
+    reach = np.maximum(stop - run_end, 0)
+    first = np.repeat(np.arange(ordered.size), reach)
+    later = np.repeat(run_end - np.cumsum(reach) + reach, reach) + np.arange(first.size)
+    close = np.abs(ordered[later] - ordered[first]) <= np.maximum(radius[first], radius[later])
+    linked = np.flatnonzero(step)
+    rows = np.concatenate([linked, first[close]])
+    cols = np.concatenate([linked + 1, later[close]])
+    links = sp.coo_matrix((np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(ordered.size,) * 2)
+    clusters = [Cluster(value=complex(np.mean(ordered[b])), multiplicity=b.size) for b in _blocks(links)]
     clusters.sort(key=lambda c: (c.value.real, c.value.imag))
     return clusters
 
@@ -121,10 +124,13 @@ def _cluster_eigenvalues(values: np.ndarray, tol: float) -> list[Cluster]:
 def _blocks(matrix: sp.spmatrix) -> list[np.ndarray]:
     """Ascending index sets of the connected components of the pattern of M + M^T.
 
-    Each index starts as its own label and takes the smallest label among
-    itself and its neighbours, and labels are then chased to their roots
-    (pointer jumping), until a sweep changes nothing; every index of a
-    component then carries one root label.  A COO matrix is read as it is.
+    M is the Hamiltonian in ``spectrum`` and the eigenvalue link graph in
+    ``_cluster_eigenvalues``.  Each index starts as its own label and takes
+    the smallest label among itself and its neighbours, and labels are then
+    chased to their roots (pointer jumping), until a sweep changes nothing;
+    every index of a component then carries one root label, its smallest
+    index, and the sets come in the order of that index.  A COO matrix is
+    read as it is.
     """
     dim = matrix.shape[0]
     coo = matrix.tocoo()

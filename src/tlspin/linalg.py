@@ -38,7 +38,7 @@ _TINY = float(np.finfo(float).tiny)
 def max_abs(a) -> float:
     """Largest entry magnitude of a dense array or sparse matrix."""
     if sp.issparse(a):
-        data = a.tocoo().data
+        data = a.tocsr().data  # no copy for CSR, which every caller passes
         return float(np.max(np.abs(data))) if data.size else 0.0
     arr = np.asarray(a)
     return float(np.max(np.abs(arr))) if arr.size else 0.0

@@ -183,26 +183,18 @@ def check_centralizer(f: BForm, N: int) -> ResidualReport:
         raise ValueError("centralizer check needs N >= 2")
     tower = coproduct_T(f, N)
     r = constant_R(f)
-    r_embeds = {k: embed(r, k, N).matrix for k in range(1, N)}
-    h = hamiltonian(f, N).matrix
+    ops = [(f"R{k}", embed(r, k, N).matrix) for k in range(1, N)] + [("H", hamiltonian(f, N).matrix)]
     report = ResidualReport()
     # residuals are relative to the tower's global scale: an entry that is
     # structurally zero must not be divided by its own vanishing magnitude
     tower_scale = max(max_abs(tower.entry(a, b).matrix) for a in range(f.n) for b in range(f.n))
-    for k in range(1, N):
-        rk = r_embeds[k]
-        scale = max_abs(rk) * tower_scale
+    for name, op in ops:
+        scale = max_abs(op) * tower_scale
         for a in range(f.n):
             for b in range(f.n):
                 t = tower.entry(a, b).matrix
-                comm = rk @ t - t @ rk
-                report.add(f"centralizer_R{k}_T[{a + 1},{b + 1}]", scaled(max_abs(comm), scale), PRODUCT_TOL)
-    h_scale = max_abs(h) * tower_scale
-    for a in range(f.n):
-        for b in range(f.n):
-            t = tower.entry(a, b).matrix
-            comm = h @ t - t @ h
-            report.add(f"centralizer_H_T[{a + 1},{b + 1}]", scaled(max_abs(comm), h_scale), PRODUCT_TOL)
+                comm = op @ t - t @ op
+                report.add(f"centralizer_{name}_T[{a + 1},{b + 1}]", scaled(max_abs(comm), scale), PRODUCT_TOL)
     return report
 
 
@@ -238,13 +230,8 @@ def _scalar_fit(grid: np.ndarray) -> tuple[complex, float]:
     n = grid.shape[0]
     dim = grid.shape[2]
     c2 = np.mean([np.trace(grid[a, a]) / dim for a in range(n)])
-    eye = np.eye(dim, dtype=complex)
-    worst = 0.0
-    for a in range(n):
-        for b in range(n):
-            target = c2 * eye if a == b else np.zeros((dim, dim))
-            worst = max(worst, max_abs(grid[a, b] - target))
-    return complex(c2), scaled(worst, max_abs(grid))
+    diff = grid - c2 * np.eye(n)[:, :, None, None] * np.eye(dim)
+    return complex(c2), rel_residual(diff, [grid])
 
 
 def casimir(f: BForm, *, aux: AuxOperatorMatrix | None = None) -> CasimirResult:

@@ -1,6 +1,7 @@
 """Chain Hamiltonian assembly, spectra, and isotypic multiplicity matching."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,6 +151,72 @@ class TestSpectrum:
         h = t.hamiltonian(xxz, 13)
         with pytest.raises(t.SizeBudgetExceeded):
             t.spectrum(h)
+
+    def test_one_wide_cluster_stays_small(self):
+        # 4096 values within 1e-15 of one point: one run of linked sorted
+        # neighbours, where a graph of all close pairs would hold 8.4M links
+        rng = np.random.default_rng(5)
+        values = 0.5 + 1e-15 * (rng.uniform(-1, 1, 4096) + 1j * rng.uniform(-1, 1, 4096))
+        tracemalloc.start()
+        try:
+            clusters = _cluster_eigenvalues(values, 1e-8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [c.multiplicity for c in clusters] == [4096]
+        assert peak < 4 * 2 ** 20
+
+
+def _single_linkage(values, tol):
+    """Brute-force clusters: every pair within max(r_i, r_j) joins, groups merged until none meet.
+
+    Returns (real, imag, multiplicity) per cluster, its value the mean of its
+    members in (real, imag) order.
+    """
+    radius = tol * (1 + np.abs(values))
+    groups = [[i] for i in range(values.size)]
+    merged = True
+    while merged:
+        merged = False
+        for a in range(len(groups)):
+            for b in range(a + 1, len(groups)):
+                if any(abs(values[i] - values[j]) <= max(radius[i], radius[j]) for i in groups[a] for j in groups[b]):
+                    groups[a] += groups.pop(b)
+                    merged = True
+                    break
+            if merged:
+                break
+    out = []
+    for g in groups:
+        members = values[g]
+        value = complex(np.mean(members[np.lexsort((members.imag, members.real))]))
+        out.append((value.real, value.imag, len(g)))
+    return sorted(out)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    tol=st.sampled_from([3e-9, 1e-8, 1e-6]),
+    points=st.lists(
+        st.tuples(
+            # a few centres, several on one vertical line
+            st.sampled_from([0.0, 1.0, -2.0]),
+            st.sampled_from([0.0, 1.0, 1.0 + 2e-8, -1.5]),
+            # offsets in radii, on either side of the linking distance
+            st.sampled_from([0.0, 0.3, 0.5, 0.99, 1.01, 1.5, 2.2]),
+            st.sampled_from([1, -1, 1j, -1j, (1 + 1j) / np.sqrt(2)]),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    data=st.data(),
+)
+def test_clusters_match_brute_force_single_linkage(tol, points, data):
+    centres = np.array([re + 1j * im for re, im, _, _ in points])
+    offsets = np.array([k * d for _, _, k, d in points]) * tol * (1 + np.abs(centres))
+    values = (centres + offsets)[data.draw(st.permutations(range(len(points))))]
+    got = [(c.value.real, c.value.imag, c.multiplicity) for c in _cluster_eigenvalues(values, tol)]
+    assert sorted(got) == _single_linkage(values, tol)
 
 
 def _gauged_kls(seed):
