@@ -11,10 +11,10 @@ The spectrum is solved one block at a time: the connected components of
 the sparsity pattern of H + H^T are invariant subspaces of H, so the
 eigenvalues of the diagonal blocks on them are those of H.  For the
 built-in families the blocks refine the U_q(sl2) weight sectors, with no
-grading computed; a dense b gives a single block, the whole matrix.  One
-connected-components routine (``_blocks``) serves both the sparsity
+grading computed; a dense b gives a single block, the whole matrix.  The
+connected-components routine ``linalg._blocks`` serves both the sparsity
 pattern of H and the links between close eigenvalues that form the
-degenerate clusters.
+degenerate clusters (and the symmetrizer's blocks in ``rep_ring``).
 """
 
 from __future__ import annotations
@@ -26,7 +26,14 @@ import scipy.sparse as sp
 
 from .bform import BForm
 from .errors import ConvergenceFailure, NoConsistentAssignment
-from .linalg import DENSE_SIZE_BUDGET, GLOBAL_TOL, SPARSE_SIZE_BUDGET, check_size_budget, rel_residual
+from .linalg import (
+    DENSE_SIZE_BUDGET,
+    GLOBAL_TOL,
+    SPARSE_SIZE_BUDGET,
+    _blocks,
+    check_size_budget,
+    rel_residual,
+)
 from .reports import ResidualReport, complex_to_pair
 from .rep_ring import DecompositionTable
 from .rmatrix import weight_operator
@@ -119,34 +126,6 @@ def _cluster_eigenvalues(values: np.ndarray, tol: float) -> list[Cluster]:
     clusters = [Cluster(value=complex(np.mean(ordered[b])), multiplicity=b.size) for b in _blocks(links)]
     clusters.sort(key=lambda c: (c.value.real, c.value.imag))
     return clusters
-
-
-def _blocks(matrix: sp.spmatrix) -> list[np.ndarray]:
-    """Ascending index sets of the connected components of the pattern of M + M^T.
-
-    M is the Hamiltonian in ``spectrum`` and the eigenvalue link graph in
-    ``_cluster_eigenvalues``.  Each index starts as its own label and takes
-    the smallest label among itself and its neighbours, and labels are then
-    chased to their roots (pointer jumping), until a sweep changes nothing;
-    every index of a component then carries one root label, its smallest
-    index, and the sets come in the order of that index.  A COO matrix is
-    read as it is.
-    """
-    dim = matrix.shape[0]
-    coo = matrix.tocoo()
-    rows = np.concatenate([coo.row, coo.col, np.arange(dim)])
-    cols = np.concatenate([coo.col, coo.row, np.arange(dim)])
-    pattern = sp.csr_matrix((np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(dim, dim))
-    labels = np.arange(dim)
-    while True:
-        swept = np.minimum.reduceat(labels[pattern.indices], pattern.indptr[:-1])
-        while not np.array_equal(swept[swept], swept):
-            swept = swept[swept]
-        if np.array_equal(swept, labels):
-            break
-        labels = swept
-    _, counts = np.unique(labels, return_counts=True)
-    return np.split(np.argsort(labels, kind="stable"), np.cumsum(counts)[:-1])
 
 
 def _block_stacks(coo: sp.coo_matrix, blocks: list[np.ndarray]):

@@ -90,3 +90,33 @@ def numerical_rank(a: np.ndarray) -> int:
         return 0
     return int(np.sum(s > RANK_RTOL * s[0]))
 
+
+def _blocks(matrix: sp.spmatrix) -> list[np.ndarray]:
+    """Ascending index sets of the connected components of the pattern of M + M^T.
+
+    One routine serves three graphs: the sparsity pattern of the Hamiltonian
+    in ``chain.spectrum``, the links between close eigenvalues in
+    ``chain._cluster_eigenvalues``, and the union of the patterns of the
+    generators X_1 ... X_{m-1} in ``rep_ring.symmetrizer``.  Only the
+    positions of the stored entries count, and they may repeat.  Each index
+    starts as its own label and takes the smallest label among itself and
+    its neighbours, and labels are then chased to their roots (pointer
+    jumping), until a sweep changes nothing; every index of a component then
+    carries one root label, its smallest index, and the sets come in the
+    order of that index.  A COO matrix is read as it is.
+    """
+    dim = matrix.shape[0]
+    coo = matrix.tocoo()
+    rows = np.concatenate([coo.row, coo.col, np.arange(dim)])
+    cols = np.concatenate([coo.col, coo.row, np.arange(dim)])
+    pattern = sp.csr_matrix((np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(dim, dim))
+    labels = np.arange(dim)
+    while True:
+        swept = np.minimum.reduceat(labels[pattern.indices], pattern.indptr[:-1])
+        while not np.array_equal(swept[swept], swept):
+            swept = swept[swept]
+        if np.array_equal(swept, labels):
+            break
+        labels = swept
+    _, counts = np.unique(labels, return_counts=True)
+    return np.split(np.argsort(labels, kind="stable"), np.cumsum(counts)[:-1])

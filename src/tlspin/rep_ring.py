@@ -8,6 +8,13 @@ coefficients of 1/(1 - n t + t^2).  The numerical members reproduce these
 integers: the graded dimensions of the quadratic-algebra quotients through
 numerical ranks, and the symmetrizer tower through the trace of its
 projector, read only once the projector is verified idempotent.
+
+The symmetrizer is a polynomial in the Temperley-Lieb generators, so it is
+exactly block diagonal on the connected components of the union of their
+patterns: off the blocks each of its entries is a sum of exact zeros.  Its
+recursion runs on those blocks alone, one level of sites at a time, and
+each block splits its last factor by the last site, which keeps a dense b
+(one block, the whole space) at the cost of one local action.
 """
 
 from __future__ import annotations
@@ -24,15 +31,15 @@ from .linalg import (
     DENSE_SIZE_BUDGET,
     PRODUCT_TOL,
     RANK_RTOL,
+    _blocks,
     check_size_budget,
     max_abs,
     numerical_rank,
-    rel_residual,
     scaled,
 )
 from .reports import ResidualReport
 from .rmatrix import projectors, spectral_R
-from .tl_rep import ChainOp
+from .tl_rep import ChainOp, LocalOp, embed
 
 # Catalan numbers above this N are outside the artifact's integer budget.
 CATALAN_MAX_N = 30
@@ -210,41 +217,101 @@ class SymmetrizerResult:
     report: ResidualReport
 
 
+def _level_blocks(f: BForm, m: int) -> list[np.ndarray]:
+    """The blocks of m sites, stacked as (blocks, size) index arrays.
+
+    The blocks are the connected components (``linalg._blocks``) of the union
+    of the patterns of X_1 ... X_{m-1}, never of the pattern of
+    H = sum X_j, whose entries can cancel.  X = vec(b) vec(b^{-1})^t links
+    each two-site state in the support of b to each in the support of
+    b^{-1} and no other state, so those states form one component; a star
+    on them, placed on every bond, has the same components with fewer
+    entries.  Each block lists its indices by last site, then ascending;
+    blocks that hold equally many indices of each last site share one array.
+    """
+    n = f.n
+    touched = np.flatnonzero((f.b != 0) | (f.b_inv != 0))
+    star = np.zeros((n * n, n * n))
+    star[touched, touched[0]] = 1.0
+    star = LocalOp(n, star)
+    blocks = _blocks(sum((embed(star, j, m).matrix for j in range(2, m)), embed(star, 1, m).matrix))
+    sizes = np.array([b.size for b in blocks])
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    flat = np.concatenate(blocks)
+    flat = flat[np.lexsort((flat, flat % n, owner))]
+    per_site = np.zeros((sizes.size, n), dtype=int)
+    np.add.at(per_site, (owner, flat % n), 1)
+    keys, which = np.unique(per_site, axis=0, return_inverse=True)
+    starts = np.cumsum(sizes) - sizes
+    return [flat[starts[which.ravel() == g][:, None] + np.arange(key.sum())] for g, key in enumerate(keys)]
+
+
 def symmetrizer(f: BForm, N: int) -> SymmetrizerResult:
     """Projector onto the top isotypic component of N sites.
 
     Recursion: starting from I - P_minus on two sites, multiply on the last
-    bond by the Baxterized matrix at u = q^(N-1) and renormalize by
+    bond by the Baxterized matrix at u = q^(m-1) and renormalize by
     lambda = tr(M^2)/tr(M) (the exact proportionality constant when M is a
-    scalar multiple of a projector).  Both factors act locally: R(u) on the
-    last two column indices, and the previous projector on all but the
-    last, so no chain-sized Kronecker product is multiplied.  n^N must lie
-    within DENSE_SIZE_BUDGET.  The result must be idempotent within
-    PRODUCT_TOL (1e-8); its rank is then its trace, which must be an integer
-    and equal p_N(n).  Otherwise NormalizationFailure is raised.
+    scalar multiple of a projector), for m = 3 .. N sites.  Both factors act
+    locally: R(u) on the last two column indices, and the previous projector
+    on all but the last, so no chain-sized Kronecker product is multiplied.
+
+    Only the diagonal blocks are computed.  Every factor, P_plus on bond 1,
+    R(u) = w(uq) I + w(u) X on the last bond and the previous projector
+    (x) I, lies in the algebra of X_1 ... X_{m-1}, so each level is zero off
+    the connected components of the union of their patterns: exactly, not
+    up to rounding, since every product of such factors only adds terms
+    that are exact zeros.  In a block B the last factor splits by the value
+    s of the last site, raw[B, B_s] = half[B, B_s] @ cur[B_s // n, B_s // n],
+    at a cost of |B| sum_s |B_s|^2; a dense b is one block, and the split
+    keeps it at d^3 / n a level, the cost of one local action.  lambda, the
+    idempotence residual, the trace and the CSR projector are all taken
+    from the blocks, and each equals its dense value, since P and P^2 both
+    vanish off the blocks.
+
+    n^N must lie within DENSE_SIZE_BUDGET.  The result must be idempotent
+    within PRODUCT_TOL (1e-8); its rank is then its trace, which must be an
+    integer and equal p_N(n).  Otherwise NormalizationFailure is raised.
     """
     n = f.n
     if N < 2:
         raise ValueError("symmetrizer tower starts at N = 2")
     check_size_budget(n ** N, DENSE_SIZE_BUDGET, "symmetrizer")
     p_plus, _ = projectors(f)
-    cur = p_plus.mat.copy()
+    parts = [(idx, p_plus.mat[idx[:, :, None], idx[:, None, :]]) for idx in _level_blocks(f, 2)]
     for m in range(3, N + 1):
         d = n ** m
-        ext = np.kron(cur, np.eye(n, dtype=complex))
-        # ext @ (I (x) R(u)): R(u) mixes the last two column indices
-        half = (ext.reshape(-1, n * n) @ spectral_R(f, f.q ** (m - 1)).mat).reshape(d, d // n, n)
-        # half @ (cur (x) I): cur contracts the column index of the first m - 1 sites
-        raw = np.tensordot(half, cur, axes=(1, 0)).transpose(0, 2, 1).reshape(d, d)
-        trace = np.trace(raw)
-        if scaled(abs(trace), max_abs(raw) * raw.shape[0]) <= 1e-12:
+        cur = np.zeros((d // n, d // n), dtype=complex)
+        for idx, stack in parts:
+            cur[idx[:, :, None], idx[:, None, :]] = stack
+        # half = (cur (x) I)(I (x) R(u)) with axes [i', j'', t, a, s] for the row
+        # (i', t) and the column (j'', a, s): R(u) joins the last site a' of cur's
+        # column to the row's last site t; row_at and col_at are the offsets
+        half = (cur.reshape(-1, n) @ spectral_R(f, f.q ** (m - 1)).mat.reshape(n, n ** 3)).ravel()
+        i = np.arange(d)
+        row_at, col_at = i // n * d * n + i % n * n * n, i // (n * n) * n ** 3 + i % (n * n)
+        raws = []
+        for idx in _level_blocks(f, m):
+            raw = np.empty(idx.shape + idx.shape[1:], dtype=complex)
+            rows, prev = row_at[idx][:, :, None], idx // n
+            counts = np.bincount(idx[0] % n, minlength=n)
+            for lo, hi in zip(np.cumsum(counts) - counts, np.cumsum(counts)):
+                # half @ (cur (x) I) on the columns lo:hi, those of one last site
+                c = slice(lo, hi)
+                raw[:, :, c] = half[rows + col_at[idx[:, None, c]]] @ cur[prev[:, c, None], prev[:, None, c]]
+            raws.append((idx, raw))
+        trace = sum(np.trace(raw, axis1=1, axis2=2).sum() for _, raw in raws)
+        if scaled(abs(trace), max(max_abs(raw) for _, raw in raws) * d) <= 1e-12:
             raise NormalizationFailure(f"symmetrizer at {m} sites has vanishing trace")
-        lam = np.sum(raw * raw.T) / trace  # tr(raw @ raw) without the product
-        cur = raw / lam
-    idem = rel_residual(cur @ cur - cur, [cur])
+        # tr(raw @ raw) without the product
+        lam = sum(np.einsum("kij,kji->", raw, raw) for _, raw in raws) / trace
+        for _, raw in raws:
+            raw /= lam
+        parts = raws
+    idem = scaled(max(max_abs(p @ p - p) for _, p in parts), max(max_abs(p) for _, p in parts))
     if idem > PRODUCT_TOL:
         raise NormalizationFailure(f"normalized symmetrizer is not idempotent (residual {idem:.3e})")
-    trace = np.trace(cur)
+    trace = sum(np.trace(p, axis1=1, axis2=2).sum() for _, p in parts)
     rank = int(round(trace.real))
     if abs(trace - rank) > 1e-6:
         raise NormalizationFailure(f"idempotent symmetrizer has non-integer trace {trace:.6g}")
@@ -254,5 +321,17 @@ def symmetrizer(f: BForm, N: int) -> SymmetrizerResult:
     report = ResidualReport()
     report.add("symmetrizer_idempotent", idem, PRODUCT_TOL)
     report.add("symmetrizer_rank", float(abs(rank - expected)), 0.0)
-    projector = ChainOp(n=n, N=N, matrix=sp.csr_matrix(cur), label=f"P+^{N}")
+    # every row lies in one block: its entries, columns ascending, then the rows in ascending order
+    data, cols, lengths = [], [], []
+    for idx, p in parts:
+        order = np.argsort(idx, axis=1)
+        p = np.take_along_axis(p, order[:, None, :], axis=2)
+        nz = p != 0
+        data.append(p[nz])
+        cols.append(np.broadcast_to(np.sort(idx, axis=1)[:, None, :], p.shape)[nz])
+        lengths.append(nz.sum(axis=2).ravel())
+    indptr = np.append(0, np.cumsum(np.concatenate(lengths)))
+    by_block = sp.csr_matrix((np.concatenate(data), np.concatenate(cols), indptr), shape=(n ** N, n ** N))
+    matrix = by_block[np.argsort(np.concatenate([idx.ravel() for idx, _ in parts]))]
+    projector = ChainOp(n=n, N=N, matrix=matrix, label=f"P+^{N}")
     return SymmetrizerResult(projector=projector, rank=rank, report=report)

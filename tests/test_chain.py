@@ -15,11 +15,11 @@ from tlspin.chain import (
     CLUSTER_TOL_GENERAL,
     Cluster,
     SpectrumReport,
-    _blocks,
     _cluster_eigenvalues,
     _link_states,
     _standard_module,
 )
+from tlspin.linalg import _blocks
 
 
 def dense_chain_oracle(f, N):

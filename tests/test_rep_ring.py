@@ -4,10 +4,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 from scipy.special import eval_chebyu
 
 import tlspin as t
 from tlspin.linalg import numerical_rank
+from tlspin.rep_ring import _level_blocks
 
 
 def paths_to_level(N):
@@ -33,6 +38,19 @@ def dense_kron_symmetrizer(f, N):
         raw = ext @ rme @ ext
         cur = raw * np.trace(raw) / np.trace(raw @ raw)
     return cur
+
+
+def generator_components(f, N):
+    """Component label of each index in the union of the patterns of X_1 ... X_{N-1}, via scipy."""
+    x = t.local_X(f)
+    union = sum(abs(t.embed(x, j, N).matrix) for j in range(1, N))
+    return connected_components(union, directed=True, connection="weak")[1]
+
+
+def gauged_kls():
+    """kls p=2 under a dense congruence M b M^t: b has no zero entry, so the symmetrizer is one block."""
+    m = np.array([[1.0, 0.4, -0.3], [0.2, 1.5, 0.1], [-0.5, 0.3, 2.0]])
+    return t.gauge_transform(t.builtin_bform("kls", 2), m)
 
 
 class TestDims:
@@ -207,9 +225,57 @@ class TestSymmetrizer:
                 assert res.rank == numerical_rank(res.projector.to_dense()) == t.dims_p(f.n, N)[N]
 
     def test_matches_dense_kron_recursion(self, kls, xxz, random_bform):
-        cases = [(kls, 5), (t.builtin_bform("kls", 1.5 + 0.5j), 5), (xxz, 7), (random_bform(301, 3), 4)]
+        cases = [(kls, 6), (t.builtin_bform("kls", 1.5 + 0.5j), 5), (xxz, 7), (random_bform(301, 3), 4)]
+        cases += [(gauged_kls(), 5)]
         for f, N_max in cases:
             for N in range(2, N_max + 1):
                 got = t.symmetrizer(f, N).projector.to_dense()
                 want = dense_kron_symmetrizer(f, N)
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (f.family, N)
+
+    def test_reference_vanishes_off_blocks(self, kls, xxz):
+        # the blocks are exact: the dense reference holds 0.0, not a small number,
+        # between components, and the library stores exactly its nonzeros
+        for f, N in ((kls, 5), (xxz, 7)):
+            want = dense_kron_symmetrizer(f, N)
+            label = generator_components(f, N)
+            assert label.max() > 0
+            # the library's star pattern has the components of the X_j patterns
+            blocks = [b for stack in _level_blocks(f, N) for b in stack]
+            assert sorted(sorted(b.tolist()) for b in blocks) == sorted(
+                np.flatnonzero(label == c).tolist() for c in range(label.max() + 1)
+            )
+            assert np.all(want[label[:, None] != label[None, :]] == 0.0)
+            got = t.symmetrizer(f, N).projector.matrix
+            assert got.has_canonical_format
+            assert np.array_equal(sp.csr_matrix(want).indptr, got.indptr)
+            assert np.array_equal(sp.csr_matrix(want).indices, got.indices)
+
+
+def _congruent_kls(p, d1, d2):
+    return t.gauge_transform(t.builtin_bform("kls", p), np.diag([1.0, d1, d2]))
+
+
+def _dense_random(seed):
+    rng = np.random.default_rng(seed)
+    try:
+        return t.make_bform(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    except (t.DegenerateParameter, t.SingularMatrix):
+        return None
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    f=st.one_of(
+        st.builds(_congruent_kls, st.floats(1.1, 3.0), st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+        st.builds(_dense_random, st.integers(0, 2 ** 32 - 1)),
+    ),
+    N=st.integers(2, 4),
+)
+def test_blocks_match_dense_reference(f, N):
+    # D b D keeps the support of b and so the blocks; a dense random b is one block
+    assume(f is not None)
+    res = t.symmetrizer(f, N)
+    assert res.rank == t.dims_p(3, N)[N]
+    want = dense_kron_symmetrizer(f, N)
+    assert np.max(np.abs(res.projector.to_dense() - want)) <= 1e-12 * np.max(np.abs(want))
