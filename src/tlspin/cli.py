@@ -9,6 +9,7 @@ verification-type error such as a non-scalar Casimir contraction),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -40,7 +41,9 @@ def parse_complex(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"not a complex number: {text!r}") from exc
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="tlspin",
         description="Construct and verify the algebraic structure generated by an invertible matrix b.",

@@ -96,8 +96,9 @@ def _blocks(matrix: sp.spmatrix) -> list[np.ndarray]:
 
     One routine serves three graphs: the sparsity pattern of the Hamiltonian
     in ``chain.spectrum``, the links between close eigenvalues in
-    ``chain._cluster_eigenvalues``, and the union of the patterns of the
-    generators X_1 ... X_{m-1} in ``rep_ring.symmetrizer``.  Only the
+    ``chain._cluster_eigenvalues``, and, for the symmetrizer, the links
+    that the generator X_{m-1} adds between the components of m - 1 sites
+    (``rep_ring._blocks_by_level``).  Only the
     positions of the stored entries count, and they may repeat.  Each index
     starts as its own label and takes the smallest label among itself and
     its neighbours, and labels are then chased to their roots (pointer

@@ -20,6 +20,7 @@ each block splits its last factor by the last site, which keeps a dense b
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,7 @@ from .linalg import (
 )
 from .reports import ResidualReport
 from .rmatrix import projectors, spectral_R
-from .tl_rep import ChainOp, LocalOp, embed
+from .tl_rep import ChainOp
 
 # Catalan numbers above this N are outside the artifact's integer budget.
 CATALAN_MAX_N = 30
@@ -217,33 +218,43 @@ class SymmetrizerResult:
     report: ResidualReport
 
 
-def _level_blocks(f: BForm, m: int) -> list[np.ndarray]:
-    """The blocks of m sites, stacked as (blocks, size) index arrays.
+def _blocks_by_level(f: BForm, N: int) -> Iterator[list[np.ndarray]]:
+    """The blocks of m sites for m = 2, ..., N, stacked as (blocks, size) index arrays.
 
-    The blocks are the connected components (``linalg._blocks``) of the union
-    of the patterns of X_1 ... X_{m-1}, never of the pattern of
-    H = sum X_j, whose entries can cancel.  X = vec(b) vec(b^{-1})^t links
-    each two-site state in the support of b to each in the support of
-    b^{-1} and no other state, so those states form one component; a star
-    on them, placed on every bond, has the same components with fewer
-    entries.  Each block lists its indices by last site, then ascending;
-    blocks that hold equally many indices of each last site share one array.
+    The blocks are the connected components of the union of the patterns of
+    X_1 ... X_{m-1}, never of the pattern of H = sum X_j, whose entries can
+    cancel.  X = vec(b) vec(b^{-1})^t links each two-site state in the
+    support of b to each in the support of b^{-1} and no other state, so
+    those states form one component: a star on them has the same components.
+    Each level is derived from the last.  Under (x) I, component c of m - 1
+    sites becomes one component (c, s) per value s of the last site; the
+    stars of X_{m-1} then join these across the last bond, and the
+    components of that small graph (``linalg._blocks``) are those of m
+    sites.  Numbering (c, s) as c n + s keeps the components in the order
+    of their smallest index at every level.  Each block lists its indices by
+    last site, then ascending; blocks that hold equally many indices of each
+    last site share one array.
     """
     n = f.n
     touched = np.flatnonzero((f.b != 0) | (f.b_inv != 0))
-    star = np.zeros((n * n, n * n))
-    star[touched, touched[0]] = 1.0
-    star = LocalOp(n, star)
-    blocks = _blocks(sum((embed(star, j, m).matrix for j in range(2, m)), embed(star, 1, m).matrix))
-    sizes = np.array([b.size for b in blocks])
-    owner = np.repeat(np.arange(sizes.size), sizes)
-    flat = np.concatenate(blocks)
-    flat = flat[np.lexsort((flat, flat % n, owner))]
-    per_site = np.zeros((sizes.size, n), dtype=int)
-    np.add.at(per_site, (owner, flat % n), 1)
-    keys, which = np.unique(per_site, axis=0, return_inverse=True)
-    starts = np.cumsum(sizes) - sizes
-    return [flat[starts[which.ravel() == g][:, None] + np.arange(key.sum())] for g, key in enumerate(keys)]
+    label = np.arange(n)
+    for m in range(2, N + 1):
+        size = (label.max() + 1) * n
+        node = (label[:, None] * n + np.arange(n)).ravel()
+        # the star of each prefix of m - 2 sites links its touched states to the first
+        star = node.reshape(-1, n * n)[:, touched]
+        ends = (star[:, 1:].ravel(), np.repeat(star[:, 0], touched.size - 1))
+        components = _blocks(sp.coo_matrix((np.ones(ends[0].size, dtype=np.int8), ends), shape=(size, size)))
+        joined = np.empty(size, dtype=int)
+        joined[np.concatenate(components)] = np.repeat(np.arange(len(components)), [c.size for c in components])
+        label = joined[node]
+        # (block, last site) of each index: sorted stably, each block by last site, then ascending
+        key = label * n + np.arange(n ** m) % n
+        sizes = np.bincount(label)
+        keys, which = np.unique(np.bincount(key, minlength=sizes.size * n).reshape(-1, n), axis=0, return_inverse=True)
+        flat = np.argsort(key, kind="stable")
+        starts = np.cumsum(sizes) - sizes
+        yield [flat[starts[which.ravel() == g][:, None] + np.arange(k.sum())] for g, k in enumerate(keys)]
 
 
 def symmetrizer(f: BForm, N: int) -> SymmetrizerResult:
@@ -278,8 +289,9 @@ def symmetrizer(f: BForm, N: int) -> SymmetrizerResult:
         raise ValueError("symmetrizer tower starts at N = 2")
     check_size_budget(n ** N, DENSE_SIZE_BUDGET, "symmetrizer")
     p_plus, _ = projectors(f)
-    parts = [(idx, p_plus.mat[idx[:, :, None], idx[:, None, :]]) for idx in _level_blocks(f, 2)]
-    for m in range(3, N + 1):
+    levels = _blocks_by_level(f, N)
+    parts = [(idx, p_plus.mat[idx[:, :, None], idx[:, None, :]]) for idx in next(levels)]
+    for m, blocks in zip(range(3, N + 1), levels):
         d = n ** m
         cur = np.zeros((d // n, d // n), dtype=complex)
         for idx, stack in parts:
@@ -291,7 +303,7 @@ def symmetrizer(f: BForm, N: int) -> SymmetrizerResult:
         i = np.arange(d)
         row_at, col_at = i // n * d * n + i % n * n * n, i // (n * n) * n ** 3 + i % (n * n)
         raws = []
-        for idx in _level_blocks(f, m):
+        for idx in blocks:
             raw = np.empty(idx.shape + idx.shape[1:], dtype=complex)
             rows, prev = row_at[idx][:, :, None], idx // n
             counts = np.bincount(idx[0] % n, minlength=n)

@@ -12,7 +12,7 @@ import pytest
 
 import tlspin as t
 from tlspin.bform import b_matrix_to_obj
-from tlspin.cli import main, parse_complex
+from tlspin.cli import build_parser, main, parse_complex
 
 # Every check the program reports, as a full-match name pattern, with the
 # threshold that check is held to.
@@ -106,6 +106,18 @@ class TestVerify:
         d1, d2 = json.loads(out1), json.loads(out2)
         d1.pop("wall_time_ms"), d2.pop("wall_time_ms")
         assert d1 == d2
+
+    def test_parser_built_once_per_process(self, capsys):
+        # main reuses one parser: parsing leaves it as it was, so a later call
+        # prints what an earlier one did, and usage errors still exit 2
+        assert build_parser() is build_parser()
+        args = ("centralizer", "--family", "kls", "--p", "2", "--N", "3", "--format", "csv")
+        code1, out1, _ = run_cli(capsys, *args)
+        assert run_cli(capsys, "centralizer", "--N", "three")[0] == 2
+        assert run_cli(capsys, "verify", "--bogus")[0] == 2
+        code2, out2, _ = run_cli(capsys, *args)
+        assert code1 == code2 == 0
+        assert out1 == out2 and "centralizer_H_T[3,3]" in out1
 
     def test_file_family(self, capsys, tmp_path, kls):
         from tlspin.bform import b_matrix_to_obj

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import tlspin as t
 from tlspin.linalg import flip_operator
-from tlspin.qalg import GENERATOR_GRID, l_matrix
+from tlspin.qalg import GENERATOR_GRID, _left_append, l_matrix
 
 KLS_P2_Q = -(21 + math.sqrt(377)) / 8
 
@@ -103,6 +103,55 @@ def right_appended_tower(f, N):
             new_grid.append(row)
         grid = new_grid
     return grid
+
+
+def complex_left_append(row, column):
+    """The left-appending writer with complex storage: every segment staged, one gather for all rows."""
+    n = column.shape[0]
+    d = row[0].shape[0]
+    x, y, k = np.nonzero(column.transpose(1, 2, 0))
+    coef = column[k, x, y]
+    parts = [row[kk] for kk in k]
+    offset = np.cumsum([0] + [m.nnz for m in parts])
+    data = np.empty(offset[-1], dtype=complex)
+    indices = np.empty(offset[-1], dtype=row[0].indices.dtype)
+    for s, m in enumerate(parts):
+        np.multiply(m.data, coef[s], out=data[offset[s]:offset[s + 1]])
+        np.add(m.indices, y[s] * d, out=indices[offset[s]:offset[s + 1]])
+    count = np.bincount(x, minlength=n)
+    row_ptr = np.concatenate(([0], np.cumsum(np.repeat(count, d))))
+    out_row = np.repeat(np.arange(n * d), np.diff(row_ptr))
+    seg = (np.cumsum(count) - count)[out_row // d] + np.arange(out_row.size) - row_ptr[out_row]
+    i = out_row % d
+    ptr = np.stack([m.indptr for m in parts])
+    start = offset[seg] + ptr[seg, i]
+    length = ptr[seg, i + 1] - ptr[seg, i]
+    run_ptr = np.concatenate(([0], np.cumsum(length)))
+    gather = np.repeat(start - run_ptr[:-1], length) + np.arange(run_ptr[-1])
+    indptr = run_ptr[row_ptr].astype(indices.dtype)
+    matrix = sp.csr_matrix((data[gather], indices[gather], indptr), shape=(n * d, n * d))
+    matrix.sum_duplicates()
+    matrix.eliminate_zeros()
+    return matrix
+
+
+def complex_stored_tower(f, N):
+    """T(N) written by complex_left_append from the complex128 blocks of L."""
+    n = f.n
+    blocks = l_matrix(f).mat.astype(complex).reshape(n, n, n, n).transpose(0, 2, 1, 3)
+    grid = [[sp.csr_matrix(blocks[a, b]) for b in range(n)] for a in range(n)]
+    for _ in range(2, N + 1):
+        for a in range(n):
+            grid[a] = [complex_left_append(grid[a], blocks[:, b]) for b in range(n)]
+    return grid
+
+
+def gauged_kls(m):
+    """kls p=2 under the congruence M b M^t: no zero entry in b, several segments on every block."""
+    return t.gauge_transform(t.builtin_bform("kls", 2), np.array(m))
+
+
+GAUGE = [[1.0, 0.4, -0.3], [0.2, 1.5, 0.1], [-0.5, 0.3, 2.0]]
 
 
 def assert_canonical(matrix):
@@ -240,6 +289,67 @@ def test_tower_matches_right_appended_recursion(f, N):
             got = tower.entry(a, b).matrix
             assert_canonical(got)
             assert abs(got - ref[a][b]).max() <= 1e-13 * scale
+
+
+class TestTowerStorage:
+    """The tower is stored in the dtype of L, with the arrays of the complex-stored writer."""
+
+    def test_real_l_stores_float64(self, kls, xxz):
+        # real q, b and b^{-1}: the data are the real parts of the complex-stored
+        # tower bit for bit, through one-segment slices (kls, xxz) and summed
+        # duplicates (a dense real b)
+        for f, N_max in ((kls, 7), (xxz, 7), (gauged_kls(GAUGE), 4)):
+            for N in range(1, N_max + 1):
+                tower = t.coproduct_T(f, N)
+                ref = complex_stored_tower(f, N)
+                for a in range(f.n):
+                    for b in range(f.n):
+                        got, want = tower.entry(a, b).matrix, ref[a][b]
+                        assert got.dtype == np.float64, (f.family, N, a, b)
+                        assert_canonical(got)
+                        assert np.array_equal(got.indptr, want.indptr), (f.family, N, a, b)
+                        assert np.array_equal(got.indices, want.indices), (f.family, N, a, b)
+                        assert not want.data.imag.any()
+                        assert np.array_equal(got.data.view(np.int64), want.data.real.view(np.int64))
+
+    def test_complex_l_keeps_complex128(self):
+        cases = [(t.builtin_bform("kls", 1.5 + 0.5j), 6), (gauged_kls(np.array(GAUGE) + 0.3j * np.eye(3)), 4)]
+        for f, N_max in cases:
+            for N in range(1, N_max + 1):
+                tower = t.coproduct_T(f, N)
+                ref = complex_stored_tower(f, N)
+                for a in range(f.n):
+                    for b in range(f.n):
+                        got, want = tower.entry(a, b).matrix, ref[a][b]
+                        assert got.dtype == np.complex128
+                        assert_canonical(got)
+                        assert np.array_equal(got.indptr, want.indptr)
+                        assert np.array_equal(got.indices, want.indices)
+                        assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
+
+    def test_casimir_of_three_site_tower_unchanged(self, kls):
+        ref = complex_stored_tower(kls, 3)
+        entries = tuple(tuple(t.ChainOp(n=3, N=3, matrix=m) for m in row) for row in ref)
+        want = t.casimir(kls, aux=t.AuxOperatorMatrix(n_a=3, N=3, entries=entries))
+        got = t.casimir(kls, aux=t.coproduct_T(kls, 3))
+        assert got.c2 == want.c2
+        assert [c.residual for c in got.report.checks] == [c.residual for c in want.report.checks]
+
+    @pytest.mark.parametrize("segments", [1, 2])
+    def test_exact_zeros_are_dropped(self, segments):
+        # one segment per block row: 1e-200 * 1e-200 underflows to 0.0; two
+        # segments on one block: equal rows with opposite signs cancel
+        row = [sp.csr_matrix(np.array([[1e-200, 1.0], [0.0, 2.0]])) for _ in range(2)]
+        column = np.zeros((2, 2, 2))
+        column[0, 0, 0] = 1e-200
+        column[1, 1, 1] = 1.0
+        if segments == 2:
+            column[0, 0, 0], column[1, 0, 0] = 1.0, -1.0
+        got = _left_append(row, column)
+        want = sum(np.kron(column[k], row[k].toarray()) for k in range(2))
+        assert_canonical(got)
+        assert np.array_equal(got.toarray(), want)
+        assert got.nnz == np.count_nonzero(want)
 
 
 class TestCentralizer:

@@ -12,7 +12,7 @@ from scipy.special import eval_chebyu
 
 import tlspin as t
 from tlspin.linalg import numerical_rank
-from tlspin.rep_ring import _level_blocks
+from tlspin.rep_ring import _blocks_by_level
 
 
 def paths_to_level(N):
@@ -241,7 +241,8 @@ class TestSymmetrizer:
             label = generator_components(f, N)
             assert label.max() > 0
             # the library's star pattern has the components of the X_j patterns
-            blocks = [b for stack in _level_blocks(f, N) for b in stack]
+            *_, stacks = _blocks_by_level(f, N)
+            blocks = [b for stack in stacks for b in stack]
             assert sorted(sorted(b.tolist()) for b in blocks) == sorted(
                 np.flatnonzero(label == c).tolist() for c in range(label.max() + 1)
             )
@@ -250,6 +251,26 @@ class TestSymmetrizer:
             assert got.has_canonical_format
             assert np.array_equal(sp.csr_matrix(want).indptr, got.indptr)
             assert np.array_equal(sp.csr_matrix(want).indices, got.indices)
+
+
+    def test_levels_match_components_built_from_scratch(self, kls, xxz, random_bform):
+        # each level is derived from the last; it must equal the components of
+        # the whole union pattern, in the same order: blocks by smallest index,
+        # indices by last site then ascending, stacks by per-site counts
+        sparse4 = t.make_bform(np.diag([1.0, 2.0, -1.5, 0.7]) + np.diag([0.5, 0.0, 0.3], 1))
+        cases = [(kls, 6), (xxz, 9), (t.builtin_bform("kls", 1.5 + 0.5j), 5), (gauged_kls(), 4)]
+        cases += [(sparse4, 5), (random_bform(302, 3), 3)]
+        for f, N in cases:
+            n = f.n
+            for m, got in zip(range(2, N + 1), _blocks_by_level(f, N), strict=True):
+                label = generator_components(f, m)
+                first = [np.flatnonzero(label == c)[0] for c in range(label.max() + 1)]
+                comps = [np.flatnonzero(label == c) for c in np.argsort(first)]
+                comps = [c[np.lexsort((c, c % n))] for c in comps]
+                counts = [tuple(np.bincount(c % n, minlength=n)) for c in comps]
+                want = [np.array([c for c, k in zip(comps, counts) if k == key]) for key in sorted(set(counts))]
+                assert len(got) == len(want), (f.family, m)
+                assert all(np.array_equal(g, w) for g, w in zip(got, want)), (f.family, m)
 
 
 def _congruent_kls(p, d1, d2):
