@@ -94,10 +94,10 @@ def _l_blocks(f: BForm) -> np.ndarray:
 
 
 def generator_blocks(f: BForm) -> dict[str, np.ndarray]:
-    """The nine 3 x 3 blocks of L, keyed by their GENERATOR_GRID names (n = 3 only)."""
+    """The nine 3 x 3 complex blocks of L, keyed by their GENERATOR_GRID names (n = 3 only)."""
     if f.n != 3:
         raise UnsupportedDimension("named generator blocks are defined for n = 3")
-    blocks = _l_blocks(f)
+    blocks = _l_blocks(f).astype(complex)
     return {GENERATOR_GRID[a][b]: blocks[a, b] for a in range(3) for b in range(3)}
 
 
@@ -135,64 +135,41 @@ def _left_append(row: list, column: np.ndarray) -> sp.csr_matrix:
 
     The result is the n x n block matrix whose block (x, y) is
     sum_k L[k, b][x, y] * row[k], stored in the dtype of L and row: float64
-    for real q, b and b^{-1}.  Its segments (x, y, k) are the nonzero
-    coefficients, in that order, and block row x fills one contiguous stretch
-    of the output.  A block row with one segment is that segment's scaled
-    copy, its indices shifted by y blocks, written as one slice.  In a block
-    row with several segments, row (x, i) is the run of row i of each
-    segment, and one vectorized gather over all such block rows lays the
-    runs down.  When each block holds one segment (the graded built-in
-    families) the runs are already canonical; otherwise duplicate columns
-    are summed.  Exact zeros (cancellation or underflow) are dropped.
+    for real q, b and b^{-1}, complex128 otherwise.  Its segments (x, y, k)
+    are the nonzero coefficients, in that order, and its row (x, i) is the
+    run of row i of each segment of block row x, scaled by the coefficient
+    and shifted by y blocks; index arithmetic lays the runs down.  When each
+    block holds one segment (the graded built-in families) the runs are
+    already canonical; otherwise duplicate columns are summed.  Exact zeros
+    (cancellation or underflow) are dropped.
     """
     n = column.shape[0]
     d = row[0].shape[0]
     x, y, k = np.nonzero(column.transpose(1, 2, 0))
     coef = column[k, x, y]
-    shift = y * d
+    # each segment's scaled, shifted copy of its entry, one after another
+    parts = [row[kk] for kk in k]
+    offset = np.cumsum([0] + [m.nnz for m in parts])
+    data = np.empty(offset[-1], dtype=np.result_type(column, row[0].dtype))
+    indices = np.empty(offset[-1], dtype=row[0].indices.dtype)
+    for s, m in enumerate(parts):
+        np.multiply(m.data, coef[s], out=data[offset[s]:offset[s + 1]])
+        np.add(m.indices, y[s] * d, out=indices[offset[s]:offset[s + 1]])
+    # one run per (output row, segment of its block row), in output order
     count = np.bincount(x, minlength=n)
-    seg_ptr = np.array([m.indptr for m in row])[k]
-    # row (x, i) starts after rows 0 .. i-1 of every segment of block row x
-    local = np.equal.outer(np.arange(n), x).astype(seg_ptr.dtype) @ seg_ptr
-    starts = np.cumsum(local[:, -1]) - local[:, -1]
-    indptr = np.append(local[:, :-1] + starts[:, None], starts[-1] + local[-1, -1]).astype(row[0].indices.dtype)
-    data = np.empty(indptr[-1], dtype=np.result_type(column, row[0].dtype))
-    indices = np.empty(indptr[-1], dtype=indptr.dtype)
-    bounds = indptr[::d].tolist()
-    several = count[x] > 1
-    for s in np.flatnonzero(~several).tolist():
-        lo, hi = bounds[x[s]], bounds[x[s] + 1]
-        np.multiply(row[k[s]].data, coef[s], out=data[lo:hi])
-        np.add(row[k[s]].indices, shift[s], out=indices[lo:hi])
-    if several.any():
-        # each segment's scaled, shifted copy, one after another
-        segs = np.flatnonzero(several)
-        seg_ptr = seg_ptr[segs]
-        offset = np.append(0, np.cumsum(seg_ptr[:, -1]))
-        staged = np.empty(offset[-1], dtype=data.dtype)
-        staged_indices = np.empty(offset[-1], dtype=indices.dtype)
-        for s, lo, hi in zip(segs.tolist(), offset[:-1].tolist(), offset[1:].tolist()):
-            np.multiply(row[k[s]].data, coef[s], out=staged[lo:hi])
-            np.add(row[k[s]].indices, shift[s], out=staged_indices[lo:hi])
-        # one run per (output row, segment of its block row), in output order
-        multi = np.flatnonzero(count > 1)
-        per_row = count[multi]
-        row_ptr = np.concatenate(([0], np.cumsum(np.repeat(per_row, d))))
-        out_row = np.repeat(np.arange(multi.size * d), np.diff(row_ptr))
-        seg = (np.cumsum(per_row) - per_row)[out_row // d] + np.arange(out_row.size) - row_ptr[out_row]
-        i = out_row % d
-        start = offset[seg] + seg_ptr[seg, i]
-        length = seg_ptr[seg, i + 1] - seg_ptr[seg, i]
-        run_ptr = np.concatenate(([0], np.cumsum(length)))
-        gather = np.repeat((start - run_ptr[:-1]).astype(indices.dtype), length)
-        gather += np.arange(run_ptr[-1], dtype=indices.dtype)
-        done = 0
-        for xx in multi.tolist():
-            # the gather is in range by construction; mode="clip" spares take its buffered copy
-            lo, hi = bounds[xx], bounds[xx + 1]
-            np.take(staged, gather[done:done + hi - lo], out=data[lo:hi], mode="clip")
-            np.take(staged_indices, gather[done:done + hi - lo], out=indices[lo:hi], mode="clip")
-            done += hi - lo
+    row_ptr = np.concatenate(([0], np.cumsum(np.repeat(count, d))))
+    out_row = np.repeat(np.arange(n * d), np.diff(row_ptr))
+    seg = (np.cumsum(count) - count)[out_row // d] + np.arange(out_row.size) - row_ptr[out_row]
+    i = out_row % d
+    ptr = np.stack([m.indptr for m in parts])
+    start = offset[seg] + ptr[seg, i]
+    length = ptr[seg, i + 1] - ptr[seg, i]
+    run_ptr = np.concatenate(([0], np.cumsum(length)))
+    gather = np.repeat(start - run_ptr[:-1], length) + np.arange(run_ptr[-1])
+    indptr = run_ptr[row_ptr].astype(indices.dtype)
+    # the gather is in range by construction, so take skips its bounds check
+    data = data.take(gather, mode="clip")
+    indices = indices.take(gather, mode="clip")
     matrix = sp.csr_matrix((data, indices, indptr), shape=(n * d, n * d))
     if x.size > np.count_nonzero(column.any(axis=0)):
         # some block holds several segments

@@ -185,6 +185,8 @@ class TestGeneratorBlocks:
     def test_reassembly_round_trip(self, kls):
         g = t.generator_blocks(kls)
         assert np.array_equal(np.block([[g[name] for name in row] for row in GENERATOR_GRID]), l_matrix(kls).mat)
+        # complex like L, although the tower of this real L is stored in float64
+        assert all(block.dtype == np.complex128 for block in g.values())
 
     def test_wrong_dimension(self, xxz):
         with pytest.raises(t.UnsupportedDimension):
@@ -296,8 +298,8 @@ class TestTowerStorage:
 
     def test_real_l_stores_float64(self, kls, xxz):
         # real q, b and b^{-1}: the data are the real parts of the complex-stored
-        # tower bit for bit, through one-segment slices (kls, xxz) and summed
-        # duplicates (a dense real b)
+        # tower bit for bit, with one segment per block (kls, xxz) and with
+        # summed duplicates (a dense real b)
         for f, N_max in ((kls, 7), (xxz, 7), (gauged_kls(GAUGE), 4)):
             for N in range(1, N_max + 1):
                 tower = t.coproduct_T(f, N)
