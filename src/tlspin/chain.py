@@ -299,10 +299,7 @@ def check_global_weight_symmetry(f: BForm, N: int) -> ResidualReport:
         total = (total[:, None] + site[None, :]).ravel()
     weight = sp.diags(total, format="csr")
     hm = hamiltonian(f, N).matrix
+    hw, wh = hm @ weight, weight @ hm
     report = ResidualReport()
-    report.add(
-        "weight_symmetry_global",
-        rel_residual(hm @ weight - weight @ hm, [hm @ weight, weight @ hm]),
-        GLOBAL_TOL,
-    )
+    report.add("weight_symmetry_global", rel_residual(hw - wh, [hw, wh]), GLOBAL_TOL)
     return report

@@ -109,10 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_bform(args) -> BForm:
-    family = getattr(args, "family", None)
-    needed = {"kls": "--p", "xxz": "--q", "file": "--b-file"}.get(family)
-    if needed is None:
-        raise ValueError(f"unknown family {family!r}")
+    family = args.family
+    needed = {"kls": "--p", "xxz": "--q", "file": "--b-file"}[family]
     provided = {
         flag for flag, val in (("--p", args.p), ("--q", args.q), ("--b-file", args.b_file))
         if val is not None
@@ -174,7 +172,6 @@ def run_verify_suite(f: BForm, N: int, seed: int) -> ResidualReport:
     report.extend(qalg.check_centralizer(f, N))
     report.extend(qalg.casimir_grouplike(f)[2])
     if f.family == "kls":
-        report.extend(qalg.casimir_combination(f))
         report.extend(rmatrix.check_weight_symmetry(f))
         report.extend(chain_mod.check_global_weight_symmetry(f, N))
     return report
@@ -245,8 +242,6 @@ def _cmd_rmatrix(args) -> tuple[dict, int]:
 def _cmd_casimir(args) -> tuple[dict, int]:
     f = _build_bform(args)
     cas, cas2, report = qalg.casimir_grouplike(f)
-    if f.family == "kls":
-        report.extend(qalg.casimir_combination(f))
     body = {
         "tables": {
             "casimir": {

@@ -7,8 +7,6 @@ residual is that norm divided by a scale that is clamped away from zero
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -36,7 +34,9 @@ _TINY = float(np.finfo(float).tiny)
 
 
 def max_abs(a) -> float:
-    """Largest entry magnitude of a dense array or sparse matrix."""
+    """Largest entry magnitude of a dense array or sparse matrix, or of every one in a list."""
+    if isinstance(a, list):
+        return max((max_abs(x) for x in a), default=0.0)
     if sp.issparse(a):
         data = a.tocsr().data  # no copy for CSR, which every caller passes
         return float(np.max(np.abs(data))) if data.size else 0.0
@@ -49,9 +49,9 @@ def scaled(num, scale) -> float:
     return num / max(scale, _TINY)
 
 
-def rel_residual(diff, scale_terms: Iterable) -> float:
-    """max-abs of ``diff`` relative to the largest entry among ``scale_terms``."""
-    return scaled(max_abs(diff), max((max_abs(t) for t in scale_terms), default=0.0))
+def rel_residual(diff, scale_terms: list) -> float:
+    """max-abs of ``diff`` (one operator or a list) relative to the largest entry among ``scale_terms``."""
+    return scaled(max_abs(diff), max_abs(scale_terms))
 
 
 def require_finite(arr, label: str) -> None:

@@ -203,7 +203,7 @@ def check_centralizer(f: BForm, N: int) -> ResidualReport:
     report = ResidualReport()
     # residuals are relative to the tower's global scale: an entry that is
     # structurally zero must not be divided by its own vanishing magnitude
-    tower_scale = max(max_abs(tower.entry(a, b).matrix) for a in range(f.n) for b in range(f.n))
+    tower_scale = max_abs([op.matrix for row in tower.entries for op in row])
     for name, op in ops:
         scale = max_abs(op) * tower_scale
         for a in range(f.n):
@@ -279,12 +279,15 @@ def casimir_grouplike(f: BForm) -> tuple[CasimirResult, CasimirResult, ResidualR
 
     The Casimir is group-like: its value on the two-site tower T(2) must be
     c2^2 within PRODUCT_TOL (1e-8).  The report holds the one-site checks
-    followed by ``casimir_grouplike``.
+    followed by ``casimir_grouplike`` and, for the kls family,
+    ``casimir_combination``.
     """
     cas = casimir(f)
     cas2 = casimir(f, aux=coproduct_T(f, 2))
     report = ResidualReport(list(cas.report.checks))
     report.add("casimir_grouplike", scaled(abs(cas2.c2 - cas.c2 ** 2), abs(cas.c2 ** 2)), PRODUCT_TOL)
+    if f.family == "kls":
+        report.extend(casimir_combination(f))
     return cas, cas2, report
 
 
@@ -328,17 +331,14 @@ def check_coassociativity(f: BForm) -> ResidualReport:
     t3 = coproduct_T(f, 3)
     t2 = coproduct_T(f, 2)
     blocks = _l_blocks(f)
+    # T(2) on sites 1,2 times a single L on site 3
+    diffs = [
+        t3.entry(a, b).matrix - _kron_sum((t2.entry(k, b).matrix, sp.csr_matrix(blocks[a, k])) for k in range(n))
+        for a in range(n)
+        for b in range(n)
+    ]
     report = ResidualReport()
-    worst = 0.0
-    scale = 0.0
-    for a in range(n):
-        for b in range(n):
-            # T(2) on sites 1,2 times a single L on site 3
-            pairs = [(t2.entry(k, b).matrix, sp.csr_matrix(blocks[a, k])) for k in range(n)]
-            diff = t3.entry(a, b).matrix - _kron_sum(pairs)
-            worst = max(worst, max_abs(diff))
-            scale = max(scale, max_abs(t3.entry(a, b).matrix))
-    report.add("coassociativity", scaled(worst, scale), GLOBAL_TOL)
+    report.add("coassociativity", rel_residual(diffs, [op.matrix for row in t3.entries for op in row]), GLOBAL_TOL)
     return report
 
 
@@ -358,7 +358,8 @@ def highest_weight_scan(f: BForm) -> DecompositionEvidence:
     subspace, the remaining direction being the invariant line spanned by the
     flattened b matrix, on which R acts with eigenvalue -1/q.  The orbit
     rank must be exactly 8, the eigenvalue residual within GLOBAL_TOL
-    (1e-10) and the other residuals within PRODUCT_TOL (1e-8).
+    (1e-10) and the other residuals within PRODUCT_TOL (1e-8).  That the
+    line is stable under every T(2) entry is ``check_pminus_invariance``.
     """
     if f.n != 3 or f.family != "kls":
         raise UnsupportedDimension("highest-weight scan is implemented for the kls family")
@@ -400,17 +401,6 @@ def highest_weight_scan(f: BForm) -> DecompositionEvidence:
         terminal = max(terminal, float(scaled(np.linalg.norm(v4 - proj), np.linalg.norm(v4))))
 
     bvec = f.b.ravel().astype(complex)
-    line_res = 0.0
-    for a in range(3):
-        for b in range(3):
-            t = tower.dense_entry(a, b)
-            v = t @ bvec
-            vnorm = np.linalg.norm(v)
-            if vnorm <= 1e-12 * max_abs(t) * np.linalg.norm(bvec):
-                continue  # annihilated: trivially inside the line
-            proj = (np.vdot(bvec, v) / np.vdot(bvec, bvec)) * bvec
-            line_res = max(line_res, float(np.linalg.norm(v - proj) / vnorm))
-
     r = constant_R(f).mat
     eig_res = float(scaled(max_abs(r @ bvec - (-1 / f.q) * bvec), np.linalg.norm(bvec)))
 
@@ -418,24 +408,18 @@ def highest_weight_scan(f: BForm) -> DecompositionEvidence:
     report.add("orbit_rank_8", float(abs(orbit_rank - 8)), 0.0)
     report.add("b3_in_double_lowering_span", b3_residual, PRODUCT_TOL)
     report.add("lowering_terminates_on_e3e3", terminal, PRODUCT_TOL)
-    report.add("invariant_line_stability", line_res, PRODUCT_TOL)
     report.add("invariant_line_eigenvalue", eig_res, GLOBAL_TOL)
     return DecompositionEvidence(orbit_rank=orbit_rank, report=report)
 
 
 def check_pminus_invariance(f: BForm) -> ResidualReport:
-    """The rank-one projector image is stable under every T(2) entry, within GLOBAL_TOL (1e-10)."""
+    """The rank-one projector image, the line spanned by the flattened b, is
+    stable under every T(2) entry, within GLOBAL_TOL (1e-10)."""
     tower = coproduct_T(f, 2)
     _, p_minus = projectors(f)
     pm = p_minus.mat
     comp = np.eye(f.n ** 2, dtype=complex) - pm
+    entries = [tower.dense_entry(a, b) for a in range(f.n) for b in range(f.n)]
     report = ResidualReport()
-    worst = 0.0
-    scale = 0.0
-    for a in range(f.n):
-        for b in range(f.n):
-            t = tower.dense_entry(a, b)
-            worst = max(worst, max_abs(comp @ t @ pm))
-            scale = max(scale, max_abs(t))
-    report.add("pminus_image_stable", scaled(worst, scale), GLOBAL_TOL)
+    report.add("pminus_image_stable", rel_residual([comp @ t @ pm for t in entries], entries), GLOBAL_TOL)
     return report

@@ -143,14 +143,16 @@ def q_antisymmetrizer(f: BForm) -> AntisymmetrizerResult:
     q = f.q
     r12, r23 = _on_three_sites(constant_R(f))
     eye = np.eye(f.n ** 3, dtype=complex)
-    base = eye - (r12 + r23) / q + (r12 @ r23 + r23 @ r12) / q ** 2
+    single = (r12 + r23) / q
+    double = (r12 @ r23 + r23 @ r12) / q ** 2
+    base = eye - single + double
     triple = r12 @ r23 @ r12
 
     candidates = {"q^-1": 1 / q, "q^-3": q ** -3}
     best_fit = complex(np.vdot(triple, base) / np.vdot(triple, triple))
     candidates["best-fit"] = best_fit
 
-    scale_terms = [eye, (r12 + r23) / q, (r12 @ r23 + r23 @ r12) / q ** 2]
+    scale_terms = [eye, single, double]
     residuals = {}
     for name, c in candidates.items():
         a3 = base - c * triple

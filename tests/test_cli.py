@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import tlspin as t
+from tlspin import rep_ring
 from tlspin.bform import b_matrix_to_obj
 from tlspin.cli import build_parser, main, parse_complex
 
@@ -36,7 +37,7 @@ THRESHOLDS = {
     # reported by the library only
     r"coassociativity|pminus_image_stable": 1e-10,
     r"orbit_rank_8": 0.0,
-    r"b3_in_double_lowering_span|lowering_terminates_on_e3e3|invariant_line_stability": 1e-8,
+    r"b3_in_double_lowering_span|lowering_terminates_on_e3e3": 1e-8,
     r"invariant_line_eigenvalue": 1e-10,
 }
 
@@ -207,6 +208,26 @@ class TestDecomposeCommand:
         assert out.splitlines()[0] == "k,p_k,nu_k"
         assert "4,55,1" in out
 
+    def test_wrong_sums_fail_their_rows(self, capsys, monkeypatch):
+        # a wrong nu_0 is decided by the two sum rows (exit 1), not by a raise (exit 2)
+        exact = rep_ring.mult_nu
+        monkeypatch.setattr(rep_ring, "mult_nu", lambda N: {**exact(N), 0: exact(N)[0] + 1})
+        code, out, err = run_cli(capsys, "decompose", "--n", "3", "--N", "4")
+        assert code == 1
+        assert err == ""
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        # 3 p_0 + 3 p_2 + p_4 = 82 against 3^4; 3^2 + 3^2 + 1^2 = 19 against C_4 = 14
+        assert checks["sum_pk_nuk"] == {"name": "sum_pk_nuk", "residual": 1.0, "threshold": 0.0, "pass": False}
+        assert checks["catalan_check"] == {"name": "catalan_check", "residual": 5.0, "threshold": 0.0, "pass": False}
+
+    def test_boundary_rows_still_raise(self, capsys, monkeypatch):
+        exact = rep_ring.mult_nu
+        monkeypatch.setattr(rep_ring, "mult_nu", lambda N: {**exact(N), N: 2})
+        code, out, err = run_cli(capsys, "decompose", "--n", "3", "--N", "4")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "ValueError"
+
     def test_catalan_budget_is_config_error(self, capsys):
         code, out, err = run_cli(capsys, "decompose", "--n", "3", "--N", "31")
         assert code == 2
@@ -290,13 +311,26 @@ class TestOtherCommands:
         idempotent = next(c.residual for c in lib.report.checks if c.name == "symmetrizer_idempotent")
         assert residuals["symmetrizer_idempotent"] == idempotent
 
+    def test_symmetrizer_rank_mismatch_exits_1_with_report(self, capsys, monkeypatch):
+        exact = rep_ring.dims_p
+        monkeypatch.setattr(rep_ring, "dims_p", lambda n, k: [d + 1 for d in exact(n, k)])
+        code, out, err = run_cli(capsys, "symmetrizer", "--family", "kls", "--p", "2", "--N", "3")
+        assert code == 1
+        assert err == ""
+        body = json.loads(out)
+        assert body["exit"] == 1
+        assert body["tables"]["symmetrizer"] == {"rank": 21, "expected_rank": 22, "N": 3}
+        rank_row = next(c for c in body["checks"] if c["name"] == "symmetrizer_rank")
+        assert rank_row["residual"] == 1.0
+        assert not rank_row["pass"]
+
     def test_grouplike_residual_shared_by_verify_and_casimir(self, capsys):
         source = ("--family", "kls", "--p", "1.5+0.5j")
         reports = [json.loads(run_cli(capsys, *cmd, *source)[1]) for cmd in (("verify", "--N", "3"), ("casimir",))]
         grouplike = [next(c for c in r["checks"] if c["name"] == "casimir_grouplike") for r in reports]
         assert grouplike[0] == grouplike[1]
         lib = t.casimir_grouplike(t.builtin_bform("kls", 1.5 + 0.5j))[2]
-        assert grouplike[0]["residual"] == lib.checks[-1].residual
+        assert grouplike[0]["residual"] == next(c.residual for c in lib.checks if c.name == "casimir_grouplike")
 
     def test_text_format(self, capsys):
         code, out, _ = run_cli(capsys, "poincare", "--n", "3", "--K", "3", "--format", "text")

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tlspin as t
+from tlspin import qalg
 from tlspin.linalg import flip_operator
 from tlspin.qalg import GENERATOR_GRID, _left_append, l_matrix
 
@@ -448,3 +449,17 @@ class TestProjectorInvariance:
     def test_rank_one_image_stable(self, kls, xxz):
         assert t.check_pminus_invariance(kls).passed
         assert t.check_pminus_invariance(xxz).passed
+
+    def test_rejects_a_tower_entry_that_moves_the_line(self, kls, monkeypatch):
+        # T(2)[1,1] + eps e_1 vec(b)^H sends vec(b) off its line: for kls
+        # b[0, 0] = 0, so e_1 lies off the line, and b_inv[0, 0] = 0, so I - P- keeps e_1
+        tower = t.coproduct_T(kls, 2)
+        entries = [list(row) for row in tower.entries]
+        kick = 1e-6 * np.outer(np.eye(9)[0], kls.b.ravel().conj())
+        entries[0][0] = t.ChainOp(n=3, N=2, matrix=sp.csr_matrix(tower.dense_entry(0, 0) + kick), label="moved")
+        moved = t.AuxOperatorMatrix(n_a=3, N=2, entries=tuple(tuple(row) for row in entries))
+        monkeypatch.setattr(qalg, "coproduct_T", lambda f, N: moved)
+        report = t.check_pminus_invariance(kls)
+        assert report.checks[0].name == "pminus_image_stable"
+        assert report.checks[0].residual > 1e-8
+        assert not report.passed

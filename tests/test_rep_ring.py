@@ -11,6 +11,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.special import eval_chebyu
 
 import tlspin as t
+from tlspin import rep_ring
 from tlspin.linalg import numerical_rank
 from tlspin.rep_ring import _blocks_by_level
 
@@ -185,10 +186,6 @@ class TestQuantumPlaneDims:
         assert dims["sym"] == [1, 4, 15, 56]
         assert dims["ext"] == [1, 4, 1, 0]
 
-    def test_degree_cap(self, kls):
-        with pytest.raises(ValueError):
-            t.quantum_plane_dims(kls, 5)
-
 
 class TestSymmetrizer:
     def test_kls_ranks(self, kls):
@@ -216,6 +213,30 @@ class TestSymmetrizer:
     def test_budget(self, kls):
         with pytest.raises(t.SizeBudgetExceeded):
             t.symmetrizer(kls, 8)
+
+    def test_rank_mismatch_is_a_failing_row(self, kls, monkeypatch):
+        # the rank is decided by its report row, not by a raise
+        exact = rep_ring.dims_p
+        monkeypatch.setattr(rep_ring, "dims_p", lambda n, k: [d + 1 for d in exact(n, k)])
+        res = t.symmetrizer(kls, 3)
+        assert res.rank == 21
+        row = next(c for c in res.report.checks if c.name == "symmetrizer_rank")
+        assert row.residual == 1.0
+        assert not row.passed
+        assert not res.report.passed
+
+    def test_projector_is_canonical_csr(self, kls, xxz, random_bform):
+        cases = [(kls, 5), (t.builtin_bform("kls", 1.5 + 0.5j), 4), (xxz, 7), (gauged_kls(), 4)]
+        cases += [(random_bform(303, 3), 3)]
+        for f, N in cases:
+            got = t.symmetrizer(f, N).projector.matrix
+            # rebuilt from the dense array: sorted columns, no duplicates, no stored zeros
+            want = sp.csr_matrix(got.toarray())
+            assert got.has_canonical_format
+            assert got.data.all(), (f.family, N)
+            assert np.array_equal(got.indptr, want.indptr), (f.family, N)
+            assert np.array_equal(got.indices, want.indices), (f.family, N)
+            assert np.array_equal(got.data, want.data), (f.family, N)
 
     def test_trace_rank_equals_numerical_rank(self, kls, xxz, random_bform):
         cases = [(kls, range(3, 6)), (xxz, range(3, 9)), (random_bform(300, 3), range(3, 5))]
