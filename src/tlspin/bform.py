@@ -42,7 +42,6 @@ class BForm:
     b_inv: np.ndarray
     tau: complex
     q: complex
-    p: complex | None = None
     family: str | None = None
 
     def __post_init__(self) -> None:
@@ -72,22 +71,25 @@ class BForm:
         return self.q + 1 / self.q
 
 
+def _select_root(r1: complex, r2: complex, allow_unimodular_q: bool) -> complex:
+    """The root of q^2 + tau q + 1 = 0 that is taken as q: the one with |q| > 1.
+
+    The roots multiply to 1, so equal moduli means both sit on |q| = 1; then
+    the root with non-negative imaginary part is taken, and only if
+    ``allow_unimodular_q`` is set.
+    """
+    if abs(abs(r1) - abs(r2)) <= _MODULUS_TIE_TOL:
+        if not allow_unimodular_q:
+            raise DegenerateParameter(f"q = {complex(r1)} lies on the unit circle; pass allow_unimodular_q=True")
+        return complex(r1 if r1.imag >= 0 else r2)
+    return complex(r1 if abs(r1) > abs(r2) else r2)
+
+
 def _q_from_tau(tau: complex, allow_unimodular_q: bool, tol: float) -> complex:
     if abs(tau - 2) <= tol or abs(tau + 2) <= tol:
         raise DegenerateParameter(f"tau = {tau} forces q = -+1, which is excluded")
     r1, r2 = np.roots([1.0, complex(tau), 1.0])
-    m1, m2 = abs(r1), abs(r2)
-    # The roots multiply to 1, so equal moduli means both sit on |q| = 1.
-    if abs(m1 - m2) <= _MODULUS_TIE_TOL:
-        if not allow_unimodular_q:
-            raise DegenerateParameter(
-                f"tau = {tau} puts q on the unit circle; pass allow_unimodular_q=True "
-                "to accept a non-root-of-unity phase explicitly"
-            )
-        q = r1 if r1.imag >= 0 else r2
-    else:
-        q = r1 if m1 > m2 else r2
-    return complex(q)
+    return _select_root(r1, r2, allow_unimodular_q)
 
 
 def make_bform(
@@ -96,7 +98,6 @@ def make_bform(
     tol: float = GLOBAL_TOL,
     allow_unimodular_q: bool = False,
     family: str | None = None,
-    p: complex | None = None,
     b_inv=None,
     q_root: complex | None = None,
 ) -> BForm:
@@ -126,13 +127,11 @@ def make_bform(
     tau = complex(np.trace(mat.T @ inv))
     if q_root is not None:
         q = complex(q_root)
-        if abs(q) < 1 - _MODULUS_TIE_TOL:
-            raise ValueError("q_root violates the |q| > 1 selection rule")
-        if abs(abs(q) - 1) <= _MODULUS_TIE_TOL and not allow_unimodular_q:
-            raise DegenerateParameter("q_root on the unit circle needs allow_unimodular_q=True")
+        if q == 0 or _select_root(q, 1 / q, allow_unimodular_q) != q:
+            raise ValueError("q_root violates the root selection rule")
     else:
         q = _q_from_tau(tau, allow_unimodular_q, tol)
-    return BForm(n=n, b=mat, b_inv=inv, tau=tau, q=q, p=p, family=family)
+    return BForm(n=n, b=mat, b_inv=inv, tau=tau, q=q, family=family)
 
 
 def builtin_bform(
@@ -151,9 +150,7 @@ def builtin_bform(
         for i in (1, 2, 3):
             b[i - 1, 3 - i] = p ** (2 - i)
         # b is an involution, so pass the exact inverse.
-        return make_bform(
-            b, tol=tol, allow_unimodular_q=allow_unimodular_q, family="kls", p=p, b_inv=b.copy()
-        )
+        return make_bform(b, tol=tol, allow_unimodular_q=allow_unimodular_q, family="kls", b_inv=b.copy())
     if family == "xxz":
         q0 = complex(param)
         if abs(q0) <= tol or abs(q0 - 1) <= tol or abs(q0 + 1) <= tol:
@@ -161,10 +158,7 @@ def builtin_bform(
         b = np.array([[0, 1], [-q0, 0]], dtype=complex)
         inv = np.array([[0, -1 / q0], [1, 0]], dtype=complex)
         # the roots of the quadratic are exactly {q0, 1/q0}
-        if abs(abs(q0) - 1) <= _MODULUS_TIE_TOL:
-            root = q0 if q0.imag >= 0 else 1 / q0
-        else:
-            root = q0 if abs(q0) > 1 else 1 / q0
+        root = _select_root(q0, 1 / q0, allow_unimodular_q)
         return make_bform(
             b, tol=tol, allow_unimodular_q=allow_unimodular_q, family="xxz", b_inv=inv, q_root=root
         )

@@ -21,6 +21,10 @@ sum_k L[k, b][x, y] * T(m-1)[a, k], and it is written directly as canonical
 CSR from row slices of the previous level: no Kronecker product and no
 sparse addition is formed.  The tower is stored in the dtype of L: float64
 when q, b and b^{-1} are real, complex128 otherwise.
+
+The Casimir is the contraction C[a, b] = sum_{jkl} b^{-1}[a, j] T[j, k] b[k, l] T[b, l]
+over the auxiliary space, one block product of the grid's block matrix
+(``_casimir_grid``); it equals c2 delta_ab I, and c2 is group-like.
 """
 
 from __future__ import annotations
@@ -179,15 +183,6 @@ def _left_append(row: list, column: np.ndarray) -> sp.csr_matrix:
     return matrix
 
 
-def _kron_sum(pairs) -> sp.csr_matrix:
-    """sum over (x, y) in pairs of x (x) y, in CSR, added in the order given."""
-    acc = None
-    for x, y in pairs:
-        term = sp.kron(x, y, format="csr")
-        acc = term if acc is None else acc + term
-    return acc
-
-
 def check_centralizer(f: BForm, N: int) -> ResidualReport:
     """Commutators of every R_{k,k+1} and of H with every tower entry.
 
@@ -222,23 +217,19 @@ class CasimirResult:
     report: ResidualReport
 
 
-def _casimir_grid(f: BForm, blocks: np.ndarray) -> np.ndarray:
-    """C[a, b] = sum_{j,k,l} b_inv[a, j] b[k, l] * (L[j, k] @ L[b, l])."""
-    n = f.n
-    dim = blocks[0][0].shape[0]
-    out = np.zeros((n, n, dim, dim), dtype=complex)
-    for a in range(n):
-        for b_ in range(n):
-            acc = np.zeros((dim, dim), dtype=complex)
-            for j in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        coef = f.b_inv[a, j] * f.b[k, l]
-                        if coef == 0:
-                            continue
-                        acc += coef * (blocks[j][k] @ blocks[b_][l])
-            out[a, b_] = acc
-    return out
+def _casimir_grid(f: BForm, aux: AuxOperatorMatrix) -> np.ndarray:
+    """C[a, b] = sum_{j,k,l} b_inv[a, j] aux[j, k] b[k, l] aux[b, l], as one block product.
+
+    With G the block matrix of the grid and G^bt its block transpose (block
+    (l, b) is aux[b, l], not transposed), C = (b^{-1} (x) I) G (b (x) I) G^bt.
+    """
+    g = np.array([[op.to_dense() for op in row] for row in aux.entries])
+    n, _, dim, _ = g.shape
+    blocks = g.transpose(0, 2, 1, 3).reshape(n * dim, n * dim)
+    blocks_bt = g.transpose(1, 2, 0, 3).reshape(n * dim, n * dim)
+    eye = np.eye(dim)
+    c = np.kron(f.b_inv, eye) @ blocks @ np.kron(f.b, eye) @ blocks_bt
+    return c.reshape(n, dim, n, dim).transpose(0, 2, 1, 3)
 
 
 def _scalar_fit(grid: np.ndarray) -> tuple[complex, float]:
@@ -251,20 +242,16 @@ def _scalar_fit(grid: np.ndarray) -> tuple[complex, float]:
 
 
 def casimir(f: BForm, *, aux: AuxOperatorMatrix | None = None) -> CasimirResult:
-    """Contract b^{-1} . L . b . L^t over the auxiliary space and fit a scalar.
+    """Fit the scalar c2 of the Casimir contraction of the grid ``aux``.
 
     ``aux`` defaults to the one-site tower coproduct_T(f, 1), the block grid
-    of L.  The contraction C[a, b] = sum_{jkl} b_inv[a, j] L[j, k] b[k, l] L[b, l],
-    with each operator product read left to right, must equal
-    c2 * delta_ab * I for a single scalar c2: the relative misfit must be
-    within PRODUCT_TOL (1e-8), or ConventionMismatch is raised with it.  For
-    the antidiagonal family the one-site scalar additionally equals q, which
-    is asserted in the report against the same threshold.
+    of L.  The contraction (``_casimir_grid``) must equal c2 delta_ab I: the
+    relative misfit must be within PRODUCT_TOL (1e-8), or ConventionMismatch
+    is raised with it.  For the kls family the one-site c2 also equals q,
+    asserted in the report against the same threshold.
     """
     grid_ops = aux if aux is not None else coproduct_T(f, 1)
-    dense = [[grid_ops.dense_entry(a, b) for b in range(f.n)] for a in range(f.n)]
-    grid = _casimir_grid(f, dense)
-    c2, misfit = _scalar_fit(grid)
+    c2, misfit = _scalar_fit(_casimir_grid(f, grid_ops))
     if misfit > PRODUCT_TOL:
         raise ConventionMismatch(f"the contraction yields no scalar Casimir; relative misfit {misfit:.3e}")
     report = ResidualReport()
@@ -292,12 +279,15 @@ def casimir_grouplike(f: BForm) -> tuple[CasimirResult, CasimirResult, ResidualR
 
 
 def casimir_combination(f: BForm) -> ResidualReport:
-    """The kls combination p(A3 A1/p + C2 B1 + p C3 B3) = c2 I, within PRODUCT_TOL (1e-8)."""
-    if f.family != "kls" or f.p is None:
+    """Entry (1, 1) of the one-site contraction equals q I, within PRODUCT_TOL (1e-8).
+
+    For the kls family, b^{-1}[1, j] is nonzero only at j = 3 and b only on
+    the antidiagonal, so the entry is the combination
+    p (A3 A1 / p + C2 B1 + p C3 B3) of the GENERATOR_GRID blocks, p = b[1, 3].
+    """
+    if f.family != "kls":
         raise UnsupportedDimension("the explicit combination is specific to the kls family")
-    g = generator_blocks(f)
-    p = f.p
-    comb = p * ((1 / p) * g["A3"] @ g["A1"] + g["C2"] @ g["B1"] + p * g["C3"] @ g["B3"])
+    comb = _casimir_grid(f, coproduct_T(f, 1))[0, 0]
     target = f.q * np.eye(3, dtype=complex)
     report = ResidualReport()
     report.add("casimir_combination", rel_residual(comb - target, [comb, target]), PRODUCT_TOL)
@@ -333,7 +323,7 @@ def check_coassociativity(f: BForm) -> ResidualReport:
     blocks = _l_blocks(f)
     # T(2) on sites 1,2 times a single L on site 3
     diffs = [
-        t3.entry(a, b).matrix - _kron_sum((t2.entry(k, b).matrix, sp.csr_matrix(blocks[a, k])) for k in range(n))
+        t3.entry(a, b).matrix - sum(sp.kron(t2.entry(k, b).matrix, blocks[a, k], format="csr") for k in range(n))
         for a in range(n)
         for b in range(n)
     ]
@@ -364,41 +354,31 @@ def highest_weight_scan(f: BForm) -> DecompositionEvidence:
     if f.n != 3 or f.family != "kls":
         raise UnsupportedDimension("highest-weight scan is implemented for the kls family")
     tower = coproduct_T(f, 2)
-    d_b1 = tower.dense_entry(0, 1)
-    d_b2 = tower.dense_entry(1, 2)
-    d_b3 = tower.dense_entry(0, 2)
+    d_b1, d_b2, d_b3 = (tower.dense_entry(a, b) for a, b in ((0, 1), (1, 2), (0, 2)))
 
-    theta = np.zeros(3, dtype=complex)
-    theta[0] = 1.0
-    tt = np.kron(theta, theta)
-    vectors = [tt]
-    squares = {}
-    for name, op in (("B1", d_b1), ("B2", d_b2)):
-        v = tt.copy()
-        for k in range(1, 5):
-            v = op @ v
-            vectors.append(v.copy())
-            if k == 2:
-                squares[name] = v.copy()
-    stack = np.array(vectors)
+    tt = np.zeros(9, dtype=complex)  # theta (x) theta
+    tt[0] = 1.0
+    # powers[i][k] = B^k (theta (x) theta), k = 0..4, for B = B1, B2
+    powers = []
+    for op in (d_b1, d_b2):
+        chain = [tt]
+        for _ in range(4):
+            chain.append(op @ chain[-1])
+        powers.append(chain)
+    # unit vectors: the lowered vectors grow like p^k, and rank is scale-free
+    vectors = [tt] + powers[0][1:] + powers[1][1:]
+    stack = np.array([scaled(v, np.linalg.norm(v)) for v in vectors])
     svals = np.linalg.svd(stack, compute_uv=False)
     orbit_rank = int(np.sum(svals > 1e-10 * svals[0]))
 
     # the double-lowered vectors absorb the mixed lowering direction
-    basis = np.array([squares["B1"], squares["B2"]]).T
+    basis = np.array([powers[0][2], powers[1][2]]).T
     w = d_b3 @ tt
     coef, *_ = np.linalg.lstsq(basis, w, rcond=None)
     b3_residual = float(scaled(np.linalg.norm(basis @ coef - w), np.linalg.norm(w)))
 
-    # four lowerings terminate on e_3 (x) e_3
-    e3 = np.zeros(3, dtype=complex)
-    e3[2] = 1.0
-    target = np.kron(e3, e3)
-    terminal = 0.0
-    for op in (d_b1, d_b2):
-        v4 = np.linalg.matrix_power(op, 4) @ tt
-        proj = (np.vdot(target, v4) / np.vdot(target, target)) * target
-        terminal = max(terminal, float(scaled(np.linalg.norm(v4 - proj), np.linalg.norm(v4))))
+    # four lowerings terminate on e_3 (x) e_3, the last basis vector
+    terminal = max(float(scaled(np.linalg.norm(chain[4][:-1]), np.linalg.norm(chain[4]))) for chain in powers)
 
     bvec = f.b.ravel().astype(complex)
     r = constant_R(f).mat

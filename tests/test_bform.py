@@ -66,11 +66,58 @@ class TestMakeBForm:
         assert f.q.imag >= 0
 
     def test_explicit_root_must_match_selection_rule(self):
-        with pytest.raises(ValueError):
-            t.make_bform([[0, 1], [-3, 0]], q_root=1 / 3)
+        for q_root in (1 / 3, 0):
+            with pytest.raises(ValueError):
+                t.make_bform([[0, 1], [-3, 0]], q_root=q_root)
+
+    def test_unit_circle_root_with_negative_imaginary_part_rejected(self):
+        q0 = cmath.exp(-0.3j)
+        b = [[0, 1], [-q0, 0]]
+        with pytest.raises(ValueError, match="selection rule"):
+            t.make_bform(b, q_root=q0, allow_unimodular_q=True)
+        # the rule takes the root with non-negative imaginary part, 1/q0
+        q = t.builtin_bform("xxz", q0, allow_unimodular_q=True).q
+        assert q.imag > 0
+        assert abs(t.make_bform(b, allow_unimodular_q=True).q - q) <= 1e-12
+        assert t.make_bform(b, q_root=q, allow_unimodular_q=True).q == q
+
+
+def former_kls_q(p, allow):
+    """q of the kls family as the root rule was written out in make_bform's root search."""
+    p = complex(p)
+    b = np.zeros((3, 3), dtype=complex)
+    for i in (1, 2, 3):
+        b[i - 1, 3 - i] = p ** (2 - i)
+    r1, r2 = np.roots([1.0, complex(np.trace(b.T @ b)), 1.0])
+    if abs(abs(r1) - abs(r2)) <= 1e-9:
+        return complex(r1 if r1.imag >= 0 else r2) if allow else t.DegenerateParameter
+    return complex(r1 if abs(r1) > abs(r2) else r2)
+
+
+def former_xxz_q(q0, allow):
+    """q of the xxz family as the root rule was written out in builtin_bform."""
+    q0 = complex(q0)
+    if abs(abs(q0) - 1) <= 1e-9:
+        return (q0 if q0.imag >= 0 else 1 / q0) if allow else t.DegenerateParameter
+    return q0 if abs(q0) > 1 else 1 / q0
+
+
+BUILTIN_Q_CASES = [("kls", p) for p in (2, 1.5 + 0.5j, 3, 0.3, 20, 2j, 1e-3 + 1j, 1j)] + [
+    ("xxz", q0) for q0 in (3, -2, 2 + 1j, 0.5, 0.9j, cmath.exp(0.4j), cmath.exp(-0.4j), -0.5)
+]
 
 
 class TestBuiltinFamilies:
+    @pytest.mark.parametrize("allow", [False, True])
+    @pytest.mark.parametrize("family, param", BUILTIN_Q_CASES)
+    def test_q_is_bit_identical_to_the_former_rules(self, family, param, allow):
+        expected = (former_kls_q if family == "kls" else former_xxz_q)(param, allow)
+        if expected is t.DegenerateParameter:
+            with pytest.raises(t.DegenerateParameter, match="unit circle"):
+                t.builtin_bform(family, param, allow_unimodular_q=allow)
+        else:
+            assert t.builtin_bform(family, param, allow_unimodular_q=allow).q == expected
+
     def test_kls_p2_entries(self, kls):
         expected = np.array([[0, 0, 2], [0, 1, 0], [0.5, 0, 0]], dtype=complex)
         assert np.array_equal(kls.b, expected)

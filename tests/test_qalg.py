@@ -1,11 +1,12 @@
 """L-operator blocks, coproduct tower, Casimir, centralizer, orbit evidence."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import tlspin as t
@@ -372,7 +373,74 @@ class TestCentralizer:
         assert len(report.checks) == 2 * 9 + 9
 
 
+def loop_casimir_grid(f, aux):
+    """The contraction C[a, b] = sum_{j,k,l} b_inv[a, j] b[k, l] aux[j, k] @ aux[b, l], entry by entry.
+
+    Also returns the largest entry of any one summand, the scale of its rounding.
+    """
+    n = f.n
+    blocks = [[aux.dense_entry(a, b) for b in range(n)] for a in range(n)]
+    dim = blocks[0][0].shape[0]
+    out = np.zeros((n, n, dim, dim), dtype=complex)
+    largest = 0.0
+    for a in range(n):
+        for b_ in range(n):
+            for j in range(n):
+                for k in range(n):
+                    for l in range(n):
+                        term = f.b_inv[a, j] * f.b[k, l] * (blocks[j][k] @ blocks[b_][l])
+                        out[a, b_] += term
+                        largest = max(largest, np.max(np.abs(term)))
+    return out, largest
+
+
+CASIMIR_MODELS = {
+    "kls 2": lambda: t.builtin_bform("kls", 2),
+    "kls 1.5+0.5j": lambda: t.builtin_bform("kls", 1.5 + 0.5j),
+    "xxz 3": lambda: t.builtin_bform("xxz", 3),
+    "xxz 2+1j": lambda: t.builtin_bform("xxz", 2 + 1j),
+    "gauged kls 2": lambda: gauged_kls(GAUGE),
+}
+
+
 class TestCasimir:
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    @pytest.mark.parametrize("model", list(CASIMIR_MODELS))
+    def test_block_product_matches_entrywise_loop(self, model, N):
+        f = CASIMIR_MODELS[model]()
+        aux = t.coproduct_T(f, N)
+        ref, largest_term = loop_casimir_grid(f, aux)
+        grid = qalg._casimir_grid(f, aux)
+        assert grid.shape == ref.shape
+        # relative to the summands: the sum cancels down to c2 I (by about 600x
+        # for the gauged kls at T(3)), so both sides round at the summands' scale
+        assert np.max(np.abs(grid - ref)) <= 1e-13 * largest_term
+        c2_ref, _ = qalg._scalar_fit(ref)
+        assert abs(t.casimir(f, aux=aux).c2 - c2_ref) <= 2e-14 * abs(c2_ref)
+
+    @pytest.mark.parametrize("p", [2, 1.5 + 0.5j, 3, 0.3])
+    def test_combination_is_the_hand_formula(self, p):
+        # b^{-1}[1, j] is nonzero only at j = 3 and b only on the antidiagonal
+        f = t.builtin_bform("kls", p)
+        assert f.b[0, 2] == p
+        g = t.generator_blocks(f)
+        hand = p * ((1 / p) * g["A3"] @ g["A1"] + g["C2"] @ g["B1"] + p * g["C3"] @ g["B3"])
+        entry = qalg._casimir_grid(f, t.coproduct_T(f, 1))[0, 0]
+        assert np.max(np.abs(entry - hand)) <= 1e-13 * np.max(np.abs(hand))
+        report = t.casimir_combination(f)
+        assert [c.name for c in report.checks] == ["casimir_combination"]
+        assert report.passed and report.max_residual <= 1e-13
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=t.ConventionMismatch,
+        reason="ROADMAP item 4 and its FOUND line in CHANGES.md: in float64 the T(2) contraction "
+        "at kls p = 20 misses a scalar by 4.2e-8, above PRODUCT_TOL",
+    )
+    def test_grouplike_at_large_p(self):
+        _, _, report = t.casimir_grouplike(t.builtin_bform("kls", 20))
+        assert report.passed
+
     def test_kls_scalar_is_q(self, kls):
         res = t.casimir(kls)
         assert abs(res.c2 - kls.q) <= 1e-8 * abs(kls.q)
@@ -443,6 +511,23 @@ class TestHighestWeightScan:
     def test_requires_family(self, xxz):
         with pytest.raises(t.UnsupportedDimension):
             t.highest_weight_scan(xxz)
+
+
+# p ranges over 0.05 <= |p| <= 50, where the lowered vectors grow like p^k
+ORBIT_P = st.one_of(
+    st.floats(0.05, 50),
+    st.builds(lambda r, phi: r * cmath.exp(1j * phi), st.floats(0.05, 50), st.floats(0, 2 * math.pi)),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(p=ORBIT_P)
+def test_orbit_rank_is_eight_for_small_and_large_p(p):
+    try:
+        f = t.builtin_bform("kls", p)
+    except t.DegenerateParameter:
+        reject()  # |p| = 1 makes tau real, in [-1, 3], which can put q on the unit circle
+    assert t.highest_weight_scan(f).orbit_rank == 8
 
 
 class TestProjectorInvariance:
