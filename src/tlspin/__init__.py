@@ -12,8 +12,8 @@ from .bform import BForm, builtin_bform, gauge_transform, load_bform, make_bform
 from .chain import (
     IsotypicAssignment,
     SpectrumReport,
-    check_global_weight_symmetry,
     check_isotypic,
+    check_weight_symmetry,
     hamiltonian,
     spectrum,
 )
@@ -32,7 +32,6 @@ from .errors import (
 from .qalg import (
     AuxOperatorMatrix,
     CasimirResult,
-    DecompositionEvidence,
     casimir,
     casimir_combination,
     casimir_grouplike,
@@ -57,16 +56,14 @@ from .rep_ring import (
 )
 from .reports import CheckResult, ResidualReport
 from .rmatrix import (
-    AntisymmetrizerResult,
+    check_antisymmetrizer,
     check_braid,
     check_spectral_ybe,
     check_tl_cubic,
     check_unitarity,
-    check_weight_symmetry,
     constant_R,
     constant_R_inverse,
     projectors,
-    q_antisymmetrizer,
     spectral_R,
     spectral_weight,
 )
@@ -95,9 +92,7 @@ __all__ = [
     "check_spectral_ybe",
     "check_tl_cubic",
     "check_unitarity",
-    "check_weight_symmetry",
-    "q_antisymmetrizer",
-    "AntisymmetrizerResult",
+    "check_antisymmetrizer",
     "AuxOperatorMatrix",
     "generator_blocks",
     "coproduct_T",
@@ -110,7 +105,6 @@ __all__ = [
     "check_coassociativity",
     "check_pminus_invariance",
     "highest_weight_scan",
-    "DecompositionEvidence",
     "dims_p",
     "mult_nu",
     "catalan",
@@ -125,7 +119,7 @@ __all__ = [
     "SpectrumReport",
     "check_isotypic",
     "IsotypicAssignment",
-    "check_global_weight_symmetry",
+    "check_weight_symmetry",
     "CheckResult",
     "ResidualReport",
     "TLSpinError",

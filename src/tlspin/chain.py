@@ -15,6 +15,10 @@ grading computed; a dense b gives a single block, the whole matrix.  The
 connected-components routine ``linalg._blocks`` serves both the sparsity
 pattern of H and the links between close eigenvalues that form the
 degenerate clusters (and the symmetrizer's blocks in ``rep_ring``).
+
+For the kls family the weight h = diag(1, 0, -1) commutes with R and,
+summed over the sites, with H; ``check_weight_symmetry`` reads both
+weights off one diagonal of base-n digit sums.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .bform import BForm
-from .errors import ConvergenceFailure, NoConsistentAssignment
+from .errors import ConvergenceFailure, NoConsistentAssignment, UnsupportedDimension
 from .linalg import (
     DENSE_SIZE_BUDGET,
     GLOBAL_TOL,
@@ -36,7 +40,7 @@ from .linalg import (
 )
 from .reports import ResidualReport, complex_to_pair
 from .rep_ring import DecompositionTable
-from .rmatrix import weight_operator
+from .rmatrix import constant_R
 from .tl_rep import ChainOp, embed, local_X
 
 CLUSTER_TOL_HERMITIAN = 1e-8
@@ -287,19 +291,26 @@ def check_isotypic(report: SpectrumReport, table: DecompositionTable, tau: compl
     return IsotypicAssignment(per_cluster=per_cluster, per_k=per_k)
 
 
-def check_global_weight_symmetry(f: BForm, N: int) -> ResidualReport:
-    """[H, sum_j h_j] for the antidiagonal family's diagonal weight h, within GLOBAL_TOL (1e-10).
+def check_weight_symmetry(f: BForm, N: int) -> ResidualReport:
+    """The weight h = diag(1, 0, -1) of the antidiagonal (kls) family is conserved.
 
-    sum_j h_j is diagonal: a basis state's entry adds the site weights of
-    its base-n digits.
+    Reports ``weight_symmetry_local``, [R, h (x) I + I (x) h] within 1e-12,
+    then ``weight_symmetry_global``, [H, sum_j h_j] on N sites within
+    GLOBAL_TOL (1e-10).  Both weights are diagonal: a basis state's entry
+    adds the site weights of its base-n digits.
     """
-    site = np.diag(weight_operator(f.n))
-    total = np.zeros(1, dtype=complex)
-    for _ in range(N):
-        total = (total[:, None] + site[None, :]).ravel()
-    weight = sp.diags(total, format="csr")
+    if f.n != 3:
+        raise UnsupportedDimension("the weight h = diag(1, 0, -1) is defined for n = 3")
     hm = hamiltonian(f, N).matrix
+    h = np.array([1.0, 0.0, -1.0], dtype=complex)
+    digit_sums = [np.zeros(1, dtype=complex)]
+    for _ in range(N):
+        digit_sums.append((digit_sums[-1][:, None] + h[None, :]).ravel())
+    local, weight = np.diag(digit_sums[2]), sp.diags(digit_sums[N], format="csr")
+    r = constant_R(f).mat
+    rl, lr = r @ local, local @ r
     hw, wh = hm @ weight, weight @ hm
     report = ResidualReport()
+    report.add("weight_symmetry_local", rel_residual(rl - lr, [rl, lr]), 1e-12)
     report.add("weight_symmetry_global", rel_residual(hw - wh, [hw, wh]), GLOBAL_TOL)
     return report

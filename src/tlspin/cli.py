@@ -165,15 +165,14 @@ def run_verify_suite(f: BForm, N: int, seed: int) -> ResidualReport:
         for c in ybe.checks:
             report.add(f"{c.name}_{i}", c.residual, c.threshold)
     report.extend(rmatrix.check_tl_cubic(f))
-    report.extend(rmatrix.q_antisymmetrizer(f).report)
+    report.extend(rmatrix.check_antisymmetrizer(f))
     u0 = 0.5 + 1.25j  # fixed regression point away from |u| = 1
     report.extend(rmatrix.check_unitarity(f, u0))
     report.extend(qalg.check_rll(f))
     report.extend(qalg.check_centralizer(f, N))
     report.extend(qalg.casimir_grouplike(f)[2])
     if f.family == "kls":
-        report.extend(rmatrix.check_weight_symmetry(f))
-        report.extend(chain_mod.check_global_weight_symmetry(f, N))
+        report.extend(chain_mod.check_weight_symmetry(f, N))
     return report
 
 

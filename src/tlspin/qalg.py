@@ -25,6 +25,8 @@ when q, b and b^{-1} are real, complex128 otherwise.
 The Casimir is the contraction C[a, b] = sum_{jkl} b^{-1}[a, j] T[j, k] b[k, l] T[b, l]
 over the auxiliary space, one block product of the grid's block matrix
 (``_casimir_grid``); it equals c2 delta_ab I, and c2 is group-like.
+``casimir_grouplike`` reads every one-site row off one contraction.  Every
+check, the highest-weight scan among them, returns its ResidualReport.
 """
 
 from __future__ import annotations
@@ -232,13 +234,18 @@ def _casimir_grid(f: BForm, aux: AuxOperatorMatrix) -> np.ndarray:
     return c.reshape(n, dim, n, dim).transpose(0, 2, 1, 3)
 
 
-def _scalar_fit(grid: np.ndarray) -> tuple[complex, float]:
-    """Best scalar c with grid ~ c * delta_ab * I, and the relative misfit."""
-    n = grid.shape[0]
-    dim = grid.shape[2]
-    c2 = np.mean([np.trace(grid[a, a]) / dim for a in range(n)])
-    diff = grid - c2 * np.eye(n)[:, :, None, None] * np.eye(dim)
-    return complex(c2), rel_residual(diff, [grid])
+def _scalar_casimir(f: BForm, grid: np.ndarray) -> CasimirResult:
+    """The best scalar c2 with grid ~ c2 delta_ab I, and its checks; see ``casimir``."""
+    n, _, dim, _ = grid.shape
+    c2 = complex(np.mean([np.trace(grid[a, a]) / dim for a in range(n)]))
+    misfit = rel_residual(grid - c2 * np.eye(n)[:, :, None, None] * np.eye(dim), [grid])
+    if misfit > PRODUCT_TOL:
+        raise ConventionMismatch(f"the contraction yields no scalar Casimir; relative misfit {misfit:.3e}")
+    report = ResidualReport()
+    report.add("casimir_scalar", misfit, PRODUCT_TOL)
+    if f.family == "kls" and dim == n:
+        report.add("casimir_value_q", scaled(abs(c2 - f.q), abs(f.q)), PRODUCT_TOL)
+    return CasimirResult(c2=c2, report=report)
 
 
 def casimir(f: BForm, *, aux: AuxOperatorMatrix | None = None) -> CasimirResult:
@@ -250,15 +257,7 @@ def casimir(f: BForm, *, aux: AuxOperatorMatrix | None = None) -> CasimirResult:
     is raised with it.  For the kls family the one-site c2 also equals q,
     asserted in the report against the same threshold.
     """
-    grid_ops = aux if aux is not None else coproduct_T(f, 1)
-    c2, misfit = _scalar_fit(_casimir_grid(f, grid_ops))
-    if misfit > PRODUCT_TOL:
-        raise ConventionMismatch(f"the contraction yields no scalar Casimir; relative misfit {misfit:.3e}")
-    report = ResidualReport()
-    report.add("casimir_scalar", misfit, PRODUCT_TOL)
-    if f.family == "kls" and grid_ops.N == 1:
-        report.add("casimir_value_q", scaled(abs(c2 - f.q), abs(f.q)), PRODUCT_TOL)
-    return CasimirResult(c2=c2, report=report)
+    return _scalar_casimir(f, _casimir_grid(f, aux if aux is not None else coproduct_T(f, 1)))
 
 
 def casimir_grouplike(f: BForm) -> tuple[CasimirResult, CasimirResult, ResidualReport]:
@@ -267,14 +266,15 @@ def casimir_grouplike(f: BForm) -> tuple[CasimirResult, CasimirResult, ResidualR
     The Casimir is group-like: its value on the two-site tower T(2) must be
     c2^2 within PRODUCT_TOL (1e-8).  The report holds the one-site checks
     followed by ``casimir_grouplike`` and, for the kls family,
-    ``casimir_combination``.
+    ``casimir_combination``; every one-site row reads one contraction.
     """
-    cas = casimir(f)
+    grid = _casimir_grid(f, coproduct_T(f, 1))
+    cas = _scalar_casimir(f, grid)
     cas2 = casimir(f, aux=coproduct_T(f, 2))
     report = ResidualReport(list(cas.report.checks))
     report.add("casimir_grouplike", scaled(abs(cas2.c2 - cas.c2 ** 2), abs(cas.c2 ** 2)), PRODUCT_TOL)
     if f.family == "kls":
-        report.extend(casimir_combination(f))
+        report.extend(_combination(f, grid))
     return cas, cas2, report
 
 
@@ -285,10 +285,14 @@ def casimir_combination(f: BForm) -> ResidualReport:
     the antidiagonal, so the entry is the combination
     p (A3 A1 / p + C2 B1 + p C3 B3) of the GENERATOR_GRID blocks, p = b[1, 3].
     """
+    return _combination(f, _casimir_grid(f, coproduct_T(f, 1)))
+
+
+def _combination(f: BForm, grid: np.ndarray) -> ResidualReport:
+    """The ``casimir_combination`` row of a one-site contraction ``grid``."""
     if f.family != "kls":
         raise UnsupportedDimension("the explicit combination is specific to the kls family")
-    comb = _casimir_grid(f, coproduct_T(f, 1))[0, 0]
-    target = f.q * np.eye(3, dtype=complex)
+    comb, target = grid[0, 0], f.q * np.eye(3, dtype=complex)
     report = ResidualReport()
     report.add("casimir_combination", rel_residual(comb - target, [comb, target]), PRODUCT_TOL)
     return report
@@ -332,15 +336,7 @@ def check_coassociativity(f: BForm) -> ResidualReport:
     return report
 
 
-@dataclass(frozen=True)
-class DecompositionEvidence:
-    """Numerical evidence for the two-site orbit/invariant-line split."""
-
-    orbit_rank: int
-    report: ResidualReport
-
-
-def highest_weight_scan(f: BForm) -> DecompositionEvidence:
+def highest_weight_scan(f: BForm) -> ResidualReport:
     """Orbit of the two-site reference vector under the lowering entries.
 
     Starting from theta (x) theta with theta = e_1, the iterated actions of
@@ -389,7 +385,7 @@ def highest_weight_scan(f: BForm) -> DecompositionEvidence:
     report.add("b3_in_double_lowering_span", b3_residual, PRODUCT_TOL)
     report.add("lowering_terminates_on_e3e3", terminal, PRODUCT_TOL)
     report.add("invariant_line_eigenvalue", eig_res, GLOBAL_TOL)
-    return DecompositionEvidence(orbit_rank=orbit_rank, report=report)
+    return report
 
 
 def check_pminus_invariance(f: BForm) -> ResidualReport:

@@ -4,24 +4,21 @@ The constant solution is R = q I + X; it obeys the quadratic characteristic
 equation (R - q)(R + 1/q) = 0 and the braid relation, and splits into
 complementary projectors R = q P_plus - (1/q) P_minus.  Promoting it with
 the weight w(z) = z - 1/z gives the one-parameter family
-R(u) = w(uq) I + w(u) X solving the spectral Yang-Baxter equation.
+R(u) = w(uq) I + w(u) X solving the spectral Yang-Baxter equation.  On
+three sites R also satisfies the Hecke relation of the Temperley-Lieb
+quotient: its degree-3 q-antisymmetrizer, with top coefficient q^-3,
+vanishes.  Every check returns its ResidualReport.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .bform import BForm
-from .errors import DegenerateParameter, UnsupportedDimension, ZeroSpectralParameter
+from .errors import DegenerateParameter, ZeroSpectralParameter
 from .linalg import GLOBAL_TOL, PRODUCT_TOL, rel_residual
 from .reports import ResidualReport
 from .tl_rep import LocalOp, embed, local_X
-
-# Candidate labels for the triple-term coefficient of the degree-3
-# antisymmetrizer; see q_antisymmetrizer.
-ANTISYM_CANDIDATES = ("q^-1", "q^-3")
 
 
 def spectral_weight(z: complex) -> complex:
@@ -118,27 +115,14 @@ def check_tl_cubic(f: BForm) -> ResidualReport:
     return report
 
 
-@dataclass(frozen=True)
-class AntisymmetrizerResult:
-    """Outcome of the degree-3 antisymmetrizer vanishing scan."""
+def check_antisymmetrizer(f: BForm) -> ResidualReport:
+    """The degree-3 q-antisymmetrizer vanishes, against PRODUCT_TOL (1e-8).
 
-    op: np.ndarray
-    coefficient_used: complex
-    winner: str
-    candidate_residuals: dict
-    best_fit: complex
-    report: ResidualReport
-
-
-def q_antisymmetrizer(f: BForm) -> AntisymmetrizerResult:
-    """Determine which triple-term coefficient annihilates the antisymmetrizer.
-
-    Builds A3(c) = I - q^-1 (R12 + R23) + q^-2 (R12 R23 + R23 R12) - c R12 R23 R12
-    and evaluates the candidates c = q^-1, c = q^-3 and the least-squares
-    best fit; the returned winner is the unique named candidate with
-    relative residual <= PRODUCT_TOL (1e-8), falling back to the best fit
-    if none or both qualify.  The vanishing coefficient is resolved numerically rather than
-    assumed.
+    A3 = I - q^-1 (R12 + R23) + q^-2 (R12 R23 + R23 R12) - q^-3 R12 R23 R12.
+    Its top coefficient q^-3 is fixed by the Hecke relation: TL_3 is the
+    Hecke algebra modulo this antisymmetrizer (Jones 1987; Jimbo 1986).
+    ``antisym_unique_named_candidate`` is |#{c in (q^-1, q^-3) whose A3
+    vanishes} - 1|, so it fails where q^-1 also annihilates A3 (q near +-1).
     """
     q = f.q
     r12, r23 = _on_three_sites(constant_R(f))
@@ -147,33 +131,11 @@ def q_antisymmetrizer(f: BForm) -> AntisymmetrizerResult:
     double = (r12 @ r23 + r23 @ r12) / q ** 2
     base = eye - single + double
     triple = r12 @ r23 @ r12
-
-    candidates = {"q^-1": 1 / q, "q^-3": q ** -3}
-    best_fit = complex(np.vdot(triple, base) / np.vdot(triple, triple))
-    candidates["best-fit"] = best_fit
-
-    scale_terms = [eye, single, double]
-    residuals = {}
-    for name, c in candidates.items():
-        a3 = base - c * triple
-        residuals[name] = rel_residual(a3, scale_terms + [c * triple])
-
-    named_hits = [name for name in ANTISYM_CANDIDATES if residuals[name] <= PRODUCT_TOL]
-    winner = named_hits[0] if len(named_hits) == 1 else "best-fit"
-    coeff = candidates[winner]
-    a3 = base - coeff * triple
-
+    low, top = (rel_residual(base - c * triple, [eye, single, double, c * triple]) for c in (1 / q, q ** -3))
     report = ResidualReport()
-    report.add(f"antisym_vanishing[{winner}]", residuals[winner], PRODUCT_TOL)
-    report.add("antisym_unique_named_candidate", float(abs(len(named_hits) - 1)), 0.0)
-    return AntisymmetrizerResult(
-        op=a3,
-        coefficient_used=coeff,
-        winner=winner,
-        candidate_residuals=residuals,
-        best_fit=best_fit,
-        report=report,
-    )
+    report.add("antisym_vanishing[q^-3]", top, PRODUCT_TOL)
+    report.add("antisym_unique_named_candidate", float(abs((low <= PRODUCT_TOL) + (top <= PRODUCT_TOL) - 1)), 0.0)
+    return report
 
 
 def check_unitarity(f: BForm, u: complex) -> ResidualReport:
@@ -187,23 +149,4 @@ def check_unitarity(f: BForm, u: complex) -> ResidualReport:
     rhs = w(u * q) * w(q / u) * eye + coeff_x * x
     report = ResidualReport()
     report.add("spectral_unitarity", rel_residual(lhs - rhs, [lhs, rhs]), GLOBAL_TOL)
-    return report
-
-
-def weight_operator(n: int) -> np.ndarray:
-    """Diagonal weight h = diag(1, 0, -1) for the 3-dimensional local space."""
-    if n != 3:
-        raise UnsupportedDimension("weight operator is defined for n = 3")
-    return np.diag([1.0, 0.0, -1.0]).astype(complex)
-
-
-def check_weight_symmetry(f: BForm) -> ResidualReport:
-    """[R, h (x) I + I (x) h] for the antidiagonal (kls) family, against 1e-12."""
-    h = weight_operator(f.n)
-    eye = np.eye(f.n, dtype=complex)
-    total = np.kron(h, eye) + np.kron(eye, h)
-    r = constant_R(f).mat
-    comm = r @ total - total @ r
-    report = ResidualReport()
-    report.add("weight_symmetry_local", rel_residual(comm, [r @ total, total @ r]), 1e-12)
     return report

@@ -19,7 +19,7 @@ from tlspin.chain import (
     _link_states,
     _standard_module,
 )
-from tlspin.linalg import _blocks
+from tlspin.linalg import _blocks, rel_residual
 
 
 def dense_chain_oracle(f, N):
@@ -430,10 +430,36 @@ class TestStandardModules:
         assert time.perf_counter() - start <= 1.0
 
 
+def former_weight_checks(f, N):
+    """Test-local copies of the former local and global weight checks, as (name, residual, threshold) rows."""
+    h = np.diag([1.0, 0.0, -1.0]).astype(complex)
+    eye = np.eye(3, dtype=complex)
+    total = np.kron(h, eye) + np.kron(eye, h)
+    r = t.constant_R(f).mat
+    comm = r @ total - total @ r
+    rows = [("weight_symmetry_local", rel_residual(comm, [r @ total, total @ r]), 1e-12)]
+    diag = np.zeros(1, dtype=complex)
+    for _ in range(N):
+        diag = (diag[:, None] + np.diag(h)[None, :]).ravel()
+    weight = sp.diags(diag, format="csr")
+    hm = t.hamiltonian(f, N).matrix
+    hw, wh = hm @ weight, weight @ hm
+    return rows + [("weight_symmetry_global", rel_residual(hw - wh, [hw, wh]), 1e-10)]
+
+
 class TestGlobalWeight:
     def test_kls_chains(self, kls):
         for N in (3, 4):
-            assert t.check_global_weight_symmetry(kls, N).max_residual <= 1e-10
+            report = t.check_weight_symmetry(kls, N)
+            assert [c.name for c in report.checks] == ["weight_symmetry_local", "weight_symmetry_global"]
+            assert report.checks[1].residual <= 1e-10
+
+    @pytest.mark.parametrize("N", [3, 4, 5, 6])
+    @pytest.mark.parametrize("p", [2, 1.5 + 0.5j, 0.3, 20])
+    def test_rows_are_bit_identical_to_the_former_checks(self, p, N):
+        f = t.builtin_bform("kls", p)
+        rows = [(c.name, c.residual, c.threshold) for c in t.check_weight_symmetry(f, N).checks]
+        assert rows == former_weight_checks(f, N)
 
 
 def _haar(rng, n):

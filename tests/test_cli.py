@@ -22,7 +22,7 @@ THRESHOLDS = {
     r"braid": 1e-8,
     r"spectral_ybe_(\d+|explicit)": 1e-8,
     r"cubic_(spectral|constant)_(121|212)": 1e-8,
-    r"antisym_vanishing\[(q\^-1|q\^-3|best-fit)\]": 1e-8,
+    r"antisym_vanishing\[q\^-3\]": 1e-8,
     r"antisym_unique_named_candidate": 0.0,
     r"spectral_unitarity": 1e-10,
     r"rll": 1e-8,
@@ -138,6 +138,16 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == "ValueError"
+
+    def test_antisymmetrizer_row_near_q_one(self, capsys):
+        # q^-1 and q^-3 both annihilate A3 at q -> 1: the q^-3 row is still
+        # reported, and the unique-candidate row fails
+        code, out, _ = run_cli(capsys, "verify", "--family", "xxz", "--q", "1.000000001", "--N", "3")
+        assert code == 1
+        rows = {c["name"]: c for c in json.loads(out)["checks"] if c["name"].startswith("antisym_")}
+        assert list(rows) == ["antisym_vanishing[q^-3]", "antisym_unique_named_candidate"]
+        assert rows["antisym_unique_named_candidate"]["residual"] == 1.0
+        assert not rows["antisym_unique_named_candidate"]["pass"]
 
     def test_explicit_spectral_point(self, capsys):
         code, out, _ = run_cli(
@@ -358,7 +368,7 @@ class TestThresholds:
             code, out, _ = run_cli(capsys, *argv)
             assert code == 0, argv
             rows += [(c["name"], c["threshold"]) for c in json.loads(out)["checks"]]
-        for report in (t.check_coassociativity(kls), t.check_pminus_invariance(kls), t.highest_weight_scan(kls).report):
+        for report in (t.check_coassociativity(kls), t.check_pminus_invariance(kls), t.highest_weight_scan(kls)):
             rows += [(c.name, c.threshold) for c in report.checks]
         matched = set()
         for name, threshold in rows:

@@ -415,7 +415,7 @@ class TestCasimir:
         # relative to the summands: the sum cancels down to c2 I (by about 600x
         # for the gauged kls at T(3)), so both sides round at the summands' scale
         assert np.max(np.abs(grid - ref)) <= 1e-13 * largest_term
-        c2_ref, _ = qalg._scalar_fit(ref)
+        c2_ref = qalg._scalar_casimir(f, ref).c2
         assert abs(t.casimir(f, aux=aux).c2 - c2_ref) <= 2e-14 * abs(c2_ref)
 
     @pytest.mark.parametrize("p", [2, 1.5 + 0.5j, 3, 0.3])
@@ -448,6 +448,18 @@ class TestCasimir:
 
     def test_explicit_combination(self, kls):
         assert t.casimir_combination(kls).passed
+
+    def test_grouplike_contracts_each_tower_once(self, kls, monkeypatch):
+        # the one-site rows, casimir_combination among them, share one contraction
+        towers = []
+        contract = qalg._casimir_grid
+        monkeypatch.setattr(qalg, "_casimir_grid", lambda f, aux: towers.append(aux.N) or contract(f, aux))
+        _, _, report = t.casimir_grouplike(kls)
+        assert towers == [1, 2]
+        names = ["casimir_scalar", "casimir_value_q", "casimir_grouplike", "casimir_combination"]
+        assert [c.name for c in report.checks] == names
+        assert report.checks[0] == t.casimir(kls).report.checks[0]
+        assert report.checks[-1] == t.casimir_combination(kls).checks[0]
 
     def test_group_like_on_two_sites(self, kls):
         base = t.casimir(kls)
@@ -491,22 +503,20 @@ class TestExchangeRelation:
 
 class TestHighestWeightScan:
     def test_orbit_rank(self, kls):
-        ev = t.highest_weight_scan(kls)
-        assert ev.orbit_rank == 8
-        assert ev.report.passed
+        report = t.highest_weight_scan(kls)
+        assert _row(report, "orbit_rank_8") == 0.0
+        assert report.passed
 
     def test_line_eigenvalue(self, kls):
-        ev = t.highest_weight_scan(kls)
-        assert _row(ev.report, "invariant_line_eigenvalue") <= 1e-12
+        assert _row(t.highest_weight_scan(kls), "invariant_line_eigenvalue") <= 1e-12
 
     def test_terminal_vector(self, kls):
         # four lowerings of the reference vector align with e3 (x) e3
-        ev = t.highest_weight_scan(kls)
-        assert _row(ev.report, "lowering_terminates_on_e3e3") <= 1e-10
+        assert _row(t.highest_weight_scan(kls), "lowering_terminates_on_e3e3") <= 1e-10
 
     def test_other_p(self):
         f = t.builtin_bform("kls", 3)
-        assert t.highest_weight_scan(f).orbit_rank == 8
+        assert _row(t.highest_weight_scan(f), "orbit_rank_8") == 0.0
 
     def test_requires_family(self, xxz):
         with pytest.raises(t.UnsupportedDimension):
@@ -527,7 +537,7 @@ def test_orbit_rank_is_eight_for_small_and_large_p(p):
         f = t.builtin_bform("kls", p)
     except t.DegenerateParameter:
         reject()  # |p| = 1 makes tau real, in [-1, 3], which can put q on the unit circle
-    assert t.highest_weight_scan(f).orbit_rank == 8
+    assert _row(t.highest_weight_scan(f), "orbit_rank_8") == 0.0
 
 
 class TestProjectorInvariance:

@@ -142,48 +142,46 @@ class TestCubicIdentities:
         assert t.check_tl_cubic(xxz).max_residual <= 1e-10
 
 
-def _vanishing(res):
-    """The residual of the antisymmetrizer's report row for its winning coefficient."""
-    return next(c.residual for c in res.report.checks if c.name == f"antisym_vanishing[{res.winner}]")
+def antisymmetrizer_residual(f, c):
+    """Test-local A3 with top coefficient c, relative to its largest term."""
+    q = f.q
+    r = t.constant_R(f)
+    r12, r23 = t.embed(r, 1, 3).to_dense(), t.embed(r, 2, 3).to_dense()
+    terms = [np.eye(f.n ** 3), -(r12 + r23) / q, (r12 @ r23 + r23 @ r12) / q ** 2, -c * r12 @ r23 @ r12]
+    return max_abs(sum(terms)) / max_abs(terms)
+
+
+ANTISYM_ROWS = ["antisym_vanishing[q^-3]", "antisym_unique_named_candidate"]
 
 
 class TestAntisymmetrizer:
     def test_winner_is_cubed_inverse_for_both_families(self, kls, xxz):
         for f in (kls, xxz):
-            res = t.q_antisymmetrizer(f)
-            assert res.winner == "q^-3"
-            assert _vanishing(res) <= 1e-8
-            assert res.candidate_residuals["q^-1"] > 1e-2
-            assert abs(res.coefficient_used - f.q ** -3) == 0.0
+            report = t.check_antisymmetrizer(f)
+            assert [c.name for c in report.checks] == ANTISYM_ROWS
+            assert report.checks[0].residual <= 1e-8
+            assert antisymmetrizer_residual(f, f.q ** -3) <= 1e-8
+            # q^-1 in the place of the Hecke coefficient leaves A3 far from zero
+            assert antisymmetrizer_residual(f, 1 / f.q) > 1e-2
 
     def test_same_winner_across_random_b(self, random_bform):
         for seed in range(10):
             f = random_bform(600 + seed, 2 + seed % 3)
-            res = t.q_antisymmetrizer(f)
-            assert res.winner == "q^-3"
-
-    def test_best_fit_agrees_with_winner(self, kls):
-        res = t.q_antisymmetrizer(kls)
-        assert abs(res.best_fit - kls.q ** -3) <= 1e-8 * abs(kls.q ** -3)
-
-    def test_proportional_idempotent(self, kls):
-        # with the winning coefficient the operator vanishes, so its square
-        # is proportional to it with any constant
-        res = t.q_antisymmetrizer(kls)
-        scale = max(1.0, max_abs(res.op))
-        assert max_abs(res.op @ res.op) <= 1e-8 * scale
-        assert _vanishing(res) <= 1e-8
+            report = t.check_antisymmetrizer(f)
+            assert [c.name for c in report.checks] == ANTISYM_ROWS
+            assert report.passed
+            assert antisymmetrizer_residual(f, 1 / f.q) > 1e-2
 
     def test_report_flags_unique_candidate(self, kls):
-        report = t.q_antisymmetrizer(kls).report
-        assert report.passed
+        assert t.check_antisymmetrizer(kls).passed
 
 
 class TestWeightSymmetry:
     def test_kls_local(self, kls):
-        report = t.check_weight_symmetry(kls)
-        assert report.max_residual <= 1e-12
+        local = t.check_weight_symmetry(kls, 3).checks[0]
+        assert local.name == "weight_symmetry_local"
+        assert local.residual <= 1e-12
 
     def test_rejects_wrong_dimension(self, xxz):
         with pytest.raises(t.UnsupportedDimension):
-            t.check_weight_symmetry(xxz)
+            t.check_weight_symmetry(xxz, 3)
