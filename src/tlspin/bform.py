@@ -1,10 +1,10 @@
 """The invertible matrix b and its derived deformation parameters.
 
-Everything in this library is built from a single invertible n x n complex
-matrix b: the Temperley-Lieb generator is the rank-one operator assembled
-from b and its inverse, the loop parameter tau = tr(b^t b^{-1}) fixes the
-deformation parameter q through q^2 + tau q + 1 = 0, and congruence
-transformations b -> M b M^t relate gauge-equivalent models.
+Everything in this library is built from a single invertible n x n matrix
+b, real or complex: the Temperley-Lieb generator is the rank-one operator
+assembled from b and its inverse, the loop parameter tau = tr(b^t b^{-1})
+fixes the deformation parameter q through q^2 + tau q + 1 = 0, and
+congruence transformations b -> M b M^t relate gauge-equivalent models.
 
 Two built-in families are provided:
 
@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateParameter, SingularMatrix
-from .linalg import GLOBAL_TOL, as_complex_matrix, max_abs, require_finite, scaled
+from .linalg import GLOBAL_TOL, _real_if_exact, _square_matrix, max_abs, require_finite, scaled
 
 # Moduli closer than this are treated as a tie (both roots on the unit circle).
 _MODULUS_TIE_TOL = 1e-9
@@ -33,15 +33,18 @@ _MODULUS_TIE_TOL = 1e-9
 class BForm:
     """An invertible matrix b with its inverse and derived scalars.
 
-    Instances are immutable; the arrays are marked read-only so a BForm can
-    be shared freely between concurrent checks.
+    ``make_bform`` stores b, b^{-1}, tau and q real when their imaginary parts
+    are exactly zero, and every operator built from them takes their result
+    type: float64 when all four are real, complex128 otherwise.  Instances
+    are immutable; the arrays are marked read-only so a BForm can be shared
+    freely between concurrent checks.
     """
 
     n: int
     b: np.ndarray
     b_inv: np.ndarray
-    tau: complex
-    q: complex
+    tau: float | complex
+    q: float | complex
     family: str | None = None
 
     def __post_init__(self) -> None:
@@ -114,7 +117,7 @@ def make_bform(
     structurally zero operator entries exactly zero); ``q_root`` must obey
     the same selection rule and is validated against tau.
     """
-    mat = as_complex_matrix(b, "b")
+    mat = _square_matrix(b, "b")
     n = mat.shape[0]
     if n < 2:
         raise ValueError("local dimension n must be at least 2")
@@ -123,15 +126,15 @@ def make_bform(
         raise SingularMatrix(
             f"b is singular at tolerance {tol:.1e} (sigma_min/sigma_max = {s[-1] / s[0]:.3e})"
         )
-    inv = np.linalg.inv(mat) if b_inv is None else as_complex_matrix(b_inv, "b_inv")
-    tau = complex(np.trace(mat.T @ inv))
+    inv = np.linalg.inv(mat) if b_inv is None else _square_matrix(b_inv, "b_inv")
+    tau = _real_if_exact(complex(np.trace(mat.T @ inv)))
     if q_root is not None:
         q = complex(q_root)
         if q == 0 or _select_root(q, 1 / q, allow_unimodular_q) != q:
             raise ValueError("q_root violates the root selection rule")
     else:
         q = _q_from_tau(tau, allow_unimodular_q, tol)
-    return BForm(n=n, b=mat, b_inv=inv, tau=tau, q=q, family=family)
+    return BForm(n=n, b=mat, b_inv=inv, tau=tau, q=_real_if_exact(q), family=family)
 
 
 def builtin_bform(
@@ -146,17 +149,15 @@ def builtin_bform(
         p = complex(param)
         if p == 0:
             raise DegenerateParameter("kls family requires p != 0")
-        b = np.zeros((3, 3), dtype=complex)
-        for i in (1, 2, 3):
-            b[i - 1, 3 - i] = p ** (2 - i)
+        b = np.fliplr(np.diag([p ** k for k in (1, 0, -1)]))
         # b is an involution, so pass the exact inverse.
         return make_bform(b, tol=tol, allow_unimodular_q=allow_unimodular_q, family="kls", b_inv=b.copy())
     if family == "xxz":
         q0 = complex(param)
         if abs(q0) <= tol or abs(q0 - 1) <= tol or abs(q0 + 1) <= tol:
             raise DegenerateParameter("xxz family requires q != 0, +-1")
-        b = np.array([[0, 1], [-q0, 0]], dtype=complex)
-        inv = np.array([[0, -1 / q0], [1, 0]], dtype=complex)
+        b = np.array([[0, 1], [-q0, 0]])
+        inv = np.array([[0, -1 / q0], [1, 0]])
         # the roots of the quadratic are exactly {q0, 1/q0}
         root = _select_root(q0, 1 / q0, allow_unimodular_q)
         return make_bform(
@@ -173,7 +174,7 @@ def gauge_transform(f: BForm, m) -> BForm:
     the two-site generator transforms by conjugation with M (x) M.  M and
     M b M^t count as singular when sigma_min <= GLOBAL_TOL * sigma_max.
     """
-    mat = as_complex_matrix(m, "M")
+    mat = _square_matrix(m, "M")
     if mat.shape != (f.n, f.n):
         raise ValueError(f"M must be {f.n} x {f.n}")
     s = np.linalg.svd(mat, compute_uv=False)

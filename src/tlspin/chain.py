@@ -241,7 +241,7 @@ def _standard_module(N: int, k: int, tau: complex) -> list[np.ndarray]:
     """
     states = _link_states(N, k)
     index = {s: i for i, s in enumerate(states)}
-    mats = [np.zeros((len(states), len(states)), dtype=complex) for _ in range(N - 1)]
+    mats = [np.zeros((len(states), len(states)), dtype=type(tau)) for _ in range(N - 1)]
     for j, e in enumerate(mats):
         for col, s in enumerate(states):
             a, b = s[j], s[j + 1]
@@ -302,8 +302,8 @@ def check_weight_symmetry(f: BForm, N: int) -> ResidualReport:
     if f.n != 3:
         raise UnsupportedDimension("the weight h = diag(1, 0, -1) is defined for n = 3")
     hm = hamiltonian(f, N).matrix
-    h = np.array([1.0, 0.0, -1.0], dtype=complex)
-    digit_sums = [np.zeros(1, dtype=complex)]
+    h = np.array([1.0, 0.0, -1.0])
+    digit_sums = [np.zeros(1)]
     for _ in range(N):
         digit_sums.append((digit_sums[-1][:, None] + h[None, :]).ravel())
     local, weight = np.diag(digit_sums[2]), sp.diags(digit_sums[N], format="csr")

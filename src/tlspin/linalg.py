@@ -3,6 +3,10 @@
 Norm convention: operators are compared with the max-abs entry norm, and a
 residual is that norm divided by a scale that is clamped away from zero
 (``scaled``), so every reported residual is finite and reproducible.
+Arithmetic convention: ``_real_if_exact`` decides real or complex once, on
+b, b^{-1}, tau, q (``make_bform``) and u (``spectral_R``); every operator
+takes the result type of its inputs: float64 for kls and xxz with a real
+parameter and for a real file b, complex128 otherwise.
 """
 
 from __future__ import annotations
@@ -22,6 +26,9 @@ PRODUCT_TOL = 1e-8
 
 # Largest n**N for which chain operators are materialized in sparse form.
 SPARSE_SIZE_BUDGET = 20000
+
+# Largest bound on the nonzeros that the coproduct tower T(N) can store.
+TOWER_NNZ_BUDGET = 2 ** 23
 
 # Largest n**N for which densification / dense eigensolves / dense ranks run.
 DENSE_SIZE_BUDGET = 4096
@@ -55,18 +62,24 @@ def rel_residual(diff, scale_terms: list) -> float:
 
 
 def require_finite(arr, label: str) -> None:
-    a = np.asarray(arr)
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.all(np.isfinite(arr)):
         raise ValueError(f"{label} contains NaN or Inf entries")
 
 
-def as_complex_matrix(a, label: str) -> np.ndarray:
-    """Validated square complex matrix copy."""
+def _real_if_exact(a):
+    """``a`` (array or scalar) unchanged, or its real part when its imaginary part is exactly zero."""
+    if np.iscomplexobj(a) and not np.any(np.imag(a)):
+        return a.real.copy() if isinstance(a, np.ndarray) else a.real
+    return a
+
+
+def _square_matrix(a, label: str) -> np.ndarray:
+    """Validated square matrix copy, real when its imaginary part is exactly zero."""
     m = np.array(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{label} must be square, got shape {m.shape}")
     require_finite(m, label)
-    return m
+    return _real_if_exact(m)
 
 
 def flip_operator(n: int) -> np.ndarray:
@@ -85,7 +98,7 @@ def check_size_budget(dim: int, budget: int, what: str) -> None:
 
 def numerical_rank(a: np.ndarray) -> int:
     """Count of singular values above RANK_RTOL * sigma_max."""
-    s = np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False)
+    s = np.linalg.svd(a, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > RANK_RTOL * s[0]))
@@ -96,10 +109,9 @@ def _blocks(matrix: sp.spmatrix) -> list[np.ndarray]:
 
     One routine serves three graphs: the sparsity pattern of the Hamiltonian
     in ``chain.spectrum``, the links between close eigenvalues in
-    ``chain._cluster_eigenvalues``, and, for the symmetrizer, the links
-    that the generator X_{m-1} adds between the components of m - 1 sites
-    (``rep_ring._blocks_by_level``).  Only the
-    positions of the stored entries count, and they may repeat.  Each index
+    ``chain._cluster_eigenvalues``, and the stacked patterns of the
+    generators X_j for the symmetrizer (``rep_ring._blocks_by_level``).  Only
+    the positions of the stored entries count, and they may repeat.  Each index
     starts as its own label and takes the smallest label among itself and
     its neighbours, and labels are then chased to their roots (pointer
     jumping), until a sweep changes nothing; every index of a component then

@@ -18,9 +18,8 @@ which by coassociativity equals the right-appended Kronecker sum
 sum_k T(m-1)[k, b] (x) L[a, k] (check_coassociativity compares the two).
 Entry (a, b) is then the n x n block matrix whose block (x, y) is
 sum_k L[k, b][x, y] * T(m-1)[a, k], and it is written directly as canonical
-CSR from row slices of the previous level: no Kronecker product and no
-sparse addition is formed.  The tower is stored in the dtype of L: float64
-when q, b and b^{-1} are real, complex128 otherwise.
+CSR from row slices of the previous level, in the dtype of L: no Kronecker
+product and no sparse addition is formed.
 
 The Casimir is the contraction C[a, b] = sum_{jkl} b^{-1}[a, j] T[j, k] b[k, l] T[b, l]
 over the auxiliary space, one block product of the grid's block matrix
@@ -38,11 +37,12 @@ import scipy.sparse as sp
 
 from .bform import BForm
 from .chain import hamiltonian
-from .errors import ConventionMismatch, UnsupportedDimension
+from .errors import ConventionMismatch, SizeBudgetExceeded, UnsupportedDimension
 from .linalg import (
     GLOBAL_TOL,
     PRODUCT_TOL,
     SPARSE_SIZE_BUDGET,
+    TOWER_NNZ_BUDGET,
     check_size_budget,
     flip_operator,
     max_abs,
@@ -87,24 +87,16 @@ def l_matrix(f: BForm) -> LocalOp:
 
 
 def _l_blocks(f: BForm) -> np.ndarray:
-    """(n, n, n, n) array of auxiliary blocks: blocks[a, b] acts on the quantum space.
-
-    Real when L has no nonzero imaginary part (real q, b and b^{-1}), so the
-    tower built from it is stored in float64; complex128 otherwise.
-    """
+    """(n, n, n, n) array of auxiliary blocks: blocks[a, b] acts on the quantum space."""
     n = f.n
-    lm = l_matrix(f).mat
-    if not lm.imag.any():
-        lm = lm.real
-    return lm.reshape(n, n, n, n).transpose(0, 2, 1, 3)
+    return l_matrix(f).mat.reshape(n, n, n, n).transpose(0, 2, 1, 3)
 
 
 def generator_blocks(f: BForm) -> dict[str, np.ndarray]:
-    """The nine 3 x 3 complex blocks of L, keyed by their GENERATOR_GRID names (n = 3 only)."""
+    """The nine 3 x 3 blocks of L, in its dtype, keyed by their GENERATOR_GRID names (n = 3 only)."""
     if f.n != 3:
         raise UnsupportedDimension("named generator blocks are defined for n = 3")
-    blocks = _l_blocks(f).astype(complex)
-    return {GENERATOR_GRID[a][b]: blocks[a, b] for a in range(3) for b in range(3)}
+    return {name: block for names, row in zip(GENERATOR_GRID, _l_blocks(f)) for name, block in zip(names, row)}
 
 
 def coproduct_T(f: BForm, N: int) -> AuxOperatorMatrix:
@@ -115,15 +107,22 @@ def coproduct_T(f: BForm, N: int) -> AuxOperatorMatrix:
     product), T(m)[a, b] = sum_k L[k, b] (x) T(m-1)[a, k], which by
     coassociativity is the same T(m) as appending it on the right.  Each
     level is written directly as canonical CSR (``_left_append``), with no
-    Kronecker product and no sparse addition, in the dtype of L: float64 for
-    real q, b and b^{-1}, complex128 otherwise.  n^N must lie within
-    SPARSE_SIZE_BUDGET.
+    Kronecker product and no sparse addition, in the dtype of L.  n^N must
+    lie within SPARSE_SIZE_BUDGET, and the bound on its nonzeros that the
+    counts of L's blocks give within TOWER_NNZ_BUDGET, checked before any
+    level is built.
     """
     n = f.n
     if N < 1:
         raise ValueError("coproduct tower needs N >= 1")
     check_size_budget(n ** N, SPARSE_SIZE_BUDGET, "coproduct_T")
     blocks = _l_blocks(f)
+    # nnz T(m)[a, b] <= sum_k nnz T(m-1)[a, k] nnz L[k, b], and at most dim^2
+    counts = bound = np.count_nonzero(blocks, axis=(2, 3))
+    for m in range(2, N + 1):
+        bound = np.minimum(bound @ counts, n ** (2 * m))
+    if bound.sum() > TOWER_NNZ_BUDGET:
+        raise SizeBudgetExceeded(f"coproduct_T: up to {bound.sum()} nonzeros exceed budget {TOWER_NNZ_BUDGET}")
     grid = [[sp.csr_matrix(blocks[a, b]) for b in range(n)] for a in range(n)]
     for _ in range(2, N + 1):
         # row a of T(m) reads only row a of T(m-1), which is then dropped
@@ -140,14 +139,13 @@ def _left_append(row: list, column: np.ndarray) -> sp.csr_matrix:
     """sum_k column[k] (x) row[k] in canonical CSR, for n x n blocks column[k] = L[k, b].
 
     The result is the n x n block matrix whose block (x, y) is
-    sum_k L[k, b][x, y] * row[k], stored in the dtype of L and row: float64
-    for real q, b and b^{-1}, complex128 otherwise.  Its segments (x, y, k)
-    are the nonzero coefficients, in that order, and its row (x, i) is the
-    run of row i of each segment of block row x, scaled by the coefficient
-    and shifted by y blocks; index arithmetic lays the runs down.  When each
-    block holds one segment (the graded built-in families) the runs are
-    already canonical; otherwise duplicate columns are summed.  Exact zeros
-    (cancellation or underflow) are dropped.
+    sum_k L[k, b][x, y] * row[k], in the result type of L and row.  Its
+    segments (x, y, k) are the nonzero coefficients, in that order, and its
+    row (x, i) is the run of row i of each segment of block row x, scaled by
+    the coefficient and shifted by y blocks; index arithmetic lays the runs
+    down.  When each block holds one segment (the graded built-in families)
+    the runs are already canonical; otherwise duplicate columns are summed.
+    Exact zeros (cancellation or underflow) are dropped.
     """
     n = column.shape[0]
     d = row[0].shape[0]
@@ -292,7 +290,7 @@ def _combination(f: BForm, grid: np.ndarray) -> ResidualReport:
     """The ``casimir_combination`` row of a one-site contraction ``grid``."""
     if f.family != "kls":
         raise UnsupportedDimension("the explicit combination is specific to the kls family")
-    comb, target = grid[0, 0], f.q * np.eye(3, dtype=complex)
+    comb, target = grid[0, 0], f.q * np.eye(3)
     report = ResidualReport()
     report.add("casimir_combination", rel_residual(comb - target, [comb, target]), PRODUCT_TOL)
     return report
@@ -352,8 +350,7 @@ def highest_weight_scan(f: BForm) -> ResidualReport:
     tower = coproduct_T(f, 2)
     d_b1, d_b2, d_b3 = (tower.dense_entry(a, b) for a, b in ((0, 1), (1, 2), (0, 2)))
 
-    tt = np.zeros(9, dtype=complex)  # theta (x) theta
-    tt[0] = 1.0
+    tt = np.eye(9)[0]  # theta (x) theta
     # powers[i][k] = B^k (theta (x) theta), k = 0..4, for B = B1, B2
     powers = []
     for op in (d_b1, d_b2):
@@ -376,7 +373,7 @@ def highest_weight_scan(f: BForm) -> ResidualReport:
     # four lowerings terminate on e_3 (x) e_3, the last basis vector
     terminal = max(float(scaled(np.linalg.norm(chain[4][:-1]), np.linalg.norm(chain[4]))) for chain in powers)
 
-    bvec = f.b.ravel().astype(complex)
+    bvec = f.b.ravel()
     r = constant_R(f).mat
     eig_res = float(scaled(max_abs(r @ bvec - (-1 / f.q) * bvec), np.linalg.norm(bvec)))
 
@@ -392,9 +389,7 @@ def check_pminus_invariance(f: BForm) -> ResidualReport:
     """The rank-one projector image, the line spanned by the flattened b, is
     stable under every T(2) entry, within GLOBAL_TOL (1e-10)."""
     tower = coproduct_T(f, 2)
-    _, p_minus = projectors(f)
-    pm = p_minus.mat
-    comp = np.eye(f.n ** 2, dtype=complex) - pm
+    comp, pm = (p.mat for p in projectors(f))
     entries = [tower.dense_entry(a, b) for a in range(f.n) for b in range(f.n)]
     report = ResidualReport()
     report.add("pminus_image_stable", rel_residual([comp @ t @ pm for t in entries], entries), GLOBAL_TOL)

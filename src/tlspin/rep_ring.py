@@ -41,7 +41,7 @@ from .linalg import (
 )
 from .reports import ResidualReport
 from .rmatrix import projectors, spectral_R
-from .tl_rep import ChainOp
+from .tl_rep import ChainOp, embed, local_X
 
 # Catalan numbers above this N are outside the artifact's integer budget.
 CATALAN_MAX_N = 30
@@ -182,7 +182,7 @@ def quantum_plane_dims(f: BForm) -> dict:
     """
     n = f.n
     check_size_budget(n ** 3, DENSE_SIZE_BUDGET, "quantum_plane_dims")
-    rel_sym = f.b_inv.ravel().reshape(-1, 1).astype(complex)
+    rel_sym = f.b_inv.ravel().reshape(-1, 1)
     p_plus, _ = projectors(f)
     u, s, _ = np.linalg.svd(p_plus.mat)
     r = int(np.sum(s > RANK_RTOL * s[0]))
@@ -217,33 +217,20 @@ class SymmetrizerResult:
 def _blocks_by_level(f: BForm, N: int) -> Iterator[list[np.ndarray]]:
     """The blocks of m sites for m = 2, ..., N, stacked as (blocks, size) index arrays.
 
-    The blocks are the connected components of the union of the patterns of
-    X_1 ... X_{m-1}, never of the pattern of H = sum X_j, whose entries can
-    cancel.  X = vec(b) vec(b^{-1})^t links each two-site state in the
-    support of b to each in the support of b^{-1} and no other state, so
-    those states form one component: a star on them has the same components.
-    Each level is derived from the last.  Under (x) I, component c of m - 1
-    sites becomes one component (c, s) per value s of the last site; the
-    stars of X_{m-1} then join these across the last bond, and the
-    components of that small graph (``linalg._blocks``) are those of m
-    sites.  Numbering (c, s) as c n + s keeps the components in the order
-    of their smallest index at every level.  Each block lists its indices by
-    last site, then ascending; blocks that hold equally many indices of each
-    last site share one array.
+    The blocks are the connected components (``linalg._blocks``) of the
+    stored positions of X_1 ... X_{m-1}, stacked unsummed: never the pattern
+    of H = sum X_j, whose entries can cancel.  Components come in the order
+    of their smallest index.  Each block lists its indices by last site,
+    then ascending; blocks that hold equally many indices of each last site
+    share one array.
     """
     n = f.n
-    touched = np.flatnonzero((f.b != 0) | (f.b_inv != 0))
-    label = np.arange(n)
+    x = local_X(f)
     for m in range(2, N + 1):
-        size = (label.max() + 1) * n
-        node = (label[:, None] * n + np.arange(n)).ravel()
-        # the star of each prefix of m - 2 sites links its touched states to the first
-        star = node.reshape(-1, n * n)[:, touched]
-        ends = (star[:, 1:].ravel(), np.repeat(star[:, 0], touched.size - 1))
-        components = _blocks(sp.coo_matrix((np.ones(ends[0].size, dtype=np.int8), ends), shape=(size, size)))
-        joined = np.empty(size, dtype=int)
-        joined[np.concatenate(components)] = np.repeat(np.arange(len(components)), [c.size for c in components])
-        label = joined[node]
+        rows, cols = np.concatenate([embed(x, j, m).matrix.nonzero() for j in range(1, m)], axis=1)
+        components = _blocks(sp.coo_matrix((np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(n ** m,) * 2))
+        label = np.empty(n ** m, dtype=int)
+        label[np.concatenate(components)] = np.repeat(np.arange(len(components)), [c.size for c in components])
         # (block, last site) of each index: sorted stably, each block by last site, then ascending
         key = label * n + np.arange(n ** m) % n
         sizes = np.bincount(label)
@@ -291,7 +278,7 @@ def symmetrizer(f: BForm, N: int) -> SymmetrizerResult:
     parts = [(idx, p_plus.mat[idx[:, :, None], idx[:, None, :]]) for idx in next(levels)]
     for m, blocks in zip(range(3, N + 1), levels):
         d = n ** m
-        cur = np.zeros((d // n, d // n), dtype=complex)
+        cur = np.zeros((d // n, d // n), dtype=parts[0][1].dtype)
         for idx, stack in parts:
             cur[idx[:, :, None], idx[:, None, :]] = stack
         # half = (cur (x) I)(I (x) R(u)) with axes [i', j'', t, a, s] for the row
@@ -302,7 +289,7 @@ def symmetrizer(f: BForm, N: int) -> SymmetrizerResult:
         row_at, col_at = i // n * d * n + i % n * n * n, i // (n * n) * n ** 3 + i % (n * n)
         raws = []
         for idx in blocks:
-            raw = np.empty(idx.shape + idx.shape[1:], dtype=complex)
+            raw = np.empty(idx.shape + idx.shape[1:], dtype=half.dtype)
             rows, prev = row_at[idx][:, :, None], idx // n
             counts = np.bincount(idx[0] % n, minlength=n)
             for lo, hi in zip(np.cumsum(counts) - counts, np.cumsum(counts)):

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 REPORT_SCHEMA_VERSION = 1
 
 
@@ -61,6 +59,5 @@ def complex_to_pair(z) -> list[float]:
 
 
 def matrix_to_pairs(mat) -> list[list[list[float]]]:
-    """Row-major nested [re, im] pairs for a dense complex matrix."""
-    m = np.asarray(mat, dtype=complex)
-    return [[complex_to_pair(v) for v in row] for row in m]
+    """Row-major nested [re, im] pairs for a dense real or complex matrix."""
+    return [[complex_to_pair(v) for v in row] for row in mat]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bform import BForm
 from .errors import DegenerateParameter, ZeroSpectralParameter
-from .linalg import GLOBAL_TOL, PRODUCT_TOL, rel_residual
+from .linalg import GLOBAL_TOL, PRODUCT_TOL, _real_if_exact, rel_residual
 from .reports import ResidualReport
 from .tl_rep import LocalOp, embed, local_X
 
@@ -31,13 +31,13 @@ def spectral_weight(z: complex) -> complex:
 def constant_R(f: BForm) -> LocalOp:
     """The constant braid solution R = q I + X."""
     x = local_X(f)
-    return LocalOp(f.n, f.q * np.eye(f.n ** 2, dtype=complex) + x.mat, label="R")
+    return LocalOp(f.n, f.q * np.eye(f.n ** 2) + x.mat, label="R")
 
 
 def constant_R_inverse(f: BForm) -> LocalOp:
     """R^{-1} = (1/q) I + X, inverse of constant_R by the quadratic relation."""
     x = local_X(f)
-    return LocalOp(f.n, (1 / f.q) * np.eye(f.n ** 2, dtype=complex) + x.mat, label="R_inv")
+    return LocalOp(f.n, (1 / f.q) * np.eye(f.n ** 2) + x.mat, label="R_inv")
 
 
 def projectors(f: BForm) -> tuple[LocalOp, LocalOp]:
@@ -49,18 +49,18 @@ def projectors(f: BForm) -> tuple[LocalOp, LocalOp]:
         raise DegenerateParameter("projectors need tau != 0")
     x = local_X(f)
     p_minus = x.mat / f.tau
-    p_plus = np.eye(f.n ** 2, dtype=complex) - p_minus
+    p_plus = np.eye(f.n ** 2) - p_minus
     return LocalOp(f.n, p_plus, label="P+"), LocalOp(f.n, p_minus, label="P-")
 
 
 def spectral_R(f: BForm, u: complex) -> LocalOp:
     """The Baxterized solution R(u) = w(uq) I + w(u) X, labelled "R(u=...)"; equals u R - (1/u) R^{-1}."""
-    u = complex(u)
+    u = _real_if_exact(complex(u))
     if u == 0:
         raise ZeroSpectralParameter("spectral parameter u must be nonzero")
     x = local_X(f)
-    mat = spectral_weight(u * f.q) * np.eye(f.n ** 2, dtype=complex) + spectral_weight(u) * x.mat
-    return LocalOp(f.n, mat, label=f"R(u={u:g})")
+    mat = spectral_weight(u * f.q) * np.eye(f.n ** 2) + spectral_weight(u) * x.mat
+    return LocalOp(f.n, mat, label=f"R(u={complex(u):g})")
 
 
 def _on_three_sites(op: LocalOp) -> tuple[np.ndarray, np.ndarray]:
@@ -96,7 +96,7 @@ def check_tl_cubic(f: BForm) -> ResidualReport:
     and the constant form (R_i - q)(nu R_k - q^2)(R_i - q), in both site
     orders, each against PRODUCT_TOL (1e-8)."""
     q = f.q
-    eye3 = np.eye(f.n ** 3, dtype=complex)
+    eye3 = np.eye(f.n ** 3)
     report = ResidualReport()
 
     a12, a23 = _on_three_sites(spectral_R(f, 1 / q))
@@ -126,7 +126,7 @@ def check_antisymmetrizer(f: BForm) -> ResidualReport:
     """
     q = f.q
     r12, r23 = _on_three_sites(constant_R(f))
-    eye = np.eye(f.n ** 3, dtype=complex)
+    eye = np.eye(f.n ** 3)
     single = (r12 + r23) / q
     double = (r12 @ r23 + r23 @ r12) / q ** 2
     base = eye - single + double
@@ -143,7 +143,7 @@ def check_unitarity(f: BForm, u: complex) -> ResidualReport:
     w = spectral_weight
     q = f.q
     x = local_X(f).mat
-    eye = np.eye(f.n ** 2, dtype=complex)
+    eye = np.eye(f.n ** 2)
     lhs = spectral_R(f, u).mat @ spectral_R(f, 1 / u).mat
     coeff_x = w(u * q) * w(1 / u) + w(u) * w(q / u) + f.tau * w(u) * w(1 / u)
     rhs = w(u * q) * w(q / u) * eye + coeff_x * x

@@ -1,4 +1,4 @@
-"""BForm construction: parameter derivation, root selection, gauge moves, file I/O."""
+"""BForm construction: parameter derivation, root selection, gauge moves, file I/O, arithmetic."""
 
 import cmath
 import json
@@ -6,8 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 import tlspin as t
+from tlspin.qalg import l_matrix
 
 # Closed form for the |q| > 1 root at tau = 21/4: q = -(21 + sqrt(377))/8.
 KLS_P2_Q = -(21 + math.sqrt(377)) / 8
@@ -272,3 +275,98 @@ class TestFileFormat:
     def test_rejects_missing_fields(self):
         with pytest.raises(ValueError):
             t.parse_b_matrix({"entries": []})
+
+
+def chain_operators(f, N):
+    """Every operator from b down, by name: X, R, R^-1, P+-, R(u) at two real u, L, T(N), H, the symmetrizer."""
+    ops = {"X": t.local_X(f).mat, "R": t.constant_R(f).mat, "R_inv": t.constant_R_inverse(f).mat}
+    ops["P+"], ops["P-"] = (p.mat for p in t.projectors(f))
+    ops["R(1.7)"], ops["R(q^2)"] = t.spectral_R(f, 1.7).mat, t.spectral_R(f, f.q ** 2).mat
+    ops["L"] = l_matrix(f).mat
+    tower = t.coproduct_T(f, N)
+    ops.update({f"T[{a},{b}]": tower.entry(a, b).matrix for a in range(f.n) for b in range(f.n)})
+    ops["H"] = t.hamiltonian(f, N).matrix
+    ops["P+^N"] = t.symmetrizer(f, N).projector.matrix
+    return ops
+
+
+def complex_twin(f):
+    """The same b, b^-1, tau and q stored complex, so every operator built from it takes complex arithmetic."""
+    return t.BForm(n=f.n, b=f.b.astype(complex), b_inv=f.b_inv.astype(complex), tau=complex(f.tau), q=complex(f.q))
+
+
+def real_gauged(seed, n, b0):
+    """M b0 M^t for a seeded real M with condition number at most 50."""
+    rng = np.random.default_rng(seed)
+    while True:
+        m = rng.normal(size=(n, n))
+        if np.linalg.cond(m) <= 50:
+            return t.make_bform(m @ b0 @ m.T)
+
+
+def real_random(seed, n):
+    """A seeded real b near a symmetric one, so tau is near n and q is real."""
+    rng = np.random.default_rng(seed)
+    a, c = rng.normal(size=(2, n, n))
+    try:
+        return t.make_bform(a + a.T + 0.3 * (c - c.T))
+    except (t.DegenerateParameter, t.SingularMatrix):
+        reject()
+
+
+# real b: dense random, and gauge transforms of kls and of xxz with tau within 1e-6 to 0.17 of -+2
+REAL_BFORMS = st.one_of(
+    st.builds(real_random, st.integers(0, 2 ** 32 - 1), st.sampled_from([3, 4])),
+    st.builds(
+        lambda seed, p: real_gauged(seed, 3, t.builtin_bform("kls", p).b),
+        st.integers(0, 2 ** 32 - 1),
+        st.floats(0.3, 20.0),
+    ),
+    st.builds(
+        lambda seed, sign, eps: real_gauged(seed, 2, t.builtin_bform("xxz", sign * (1 + eps)).b),
+        st.integers(0, 2 ** 32 - 1),
+        st.sampled_from([1.0, -1.0]),
+        st.floats(1e-3, 0.5),
+    ),
+)
+
+
+class TestArithmetic:
+    """Real or complex is decided once, in make_bform; every operator takes the result type of its inputs."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(f=REAL_BFORMS, N=st.integers(2, 4))
+    def test_real_b_gives_float64_within_rounding_of_complex_arithmetic(self, f, N):
+        N = min(N, 6 - f.n)
+        assert f.b.dtype == f.b_inv.dtype == np.float64
+        assert isinstance(f.tau, float) and isinstance(f.q, float)
+        twin = chain_operators(complex_twin(f), N)
+        # each symmetrizer lies within its rounding level, which its idempotence residual
+        # shows, of the exact projector; that level grows with the conditioning of the gauge
+        idem = sum(t.symmetrizer(g, N).report.checks[0].residual for g in (f, complex_twin(f)))
+        rtol = {"P+^N": max(1e-14, 10 * idem)}
+        for name, op in chain_operators(f, N).items():
+            assert op.dtype == np.float64, name
+            assert twin[name].dtype == np.complex128, name
+            ref = twin[name].toarray() if hasattr(twin[name], "toarray") else twin[name]
+            got = op.toarray() if hasattr(op, "toarray") else op
+            assert np.max(np.abs(got - ref)) <= rtol.get(name, 1e-14) * np.max(np.abs(ref)), name
+
+    def test_real_parameters_and_real_file_b_are_float64(self, tmp_path, kls, xxz):
+        from tlspin.bform import b_matrix_to_obj
+
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps(b_matrix_to_obj(real_random(614, 3))))
+        for f in (kls, xxz, t.load_bform(path)):
+            assert all(op.dtype == np.float64 for op in chain_operators(f, 3).values())
+
+    def test_complex_b_stays_complex128(self, random_bform):
+        cases = [t.builtin_bform("kls", 1.5 + 0.5j), t.builtin_bform("xxz", 2 + 1j), random_bform(612, 3)]
+        for f in cases:
+            assert f.b.dtype == np.complex128 and isinstance(f.q, complex)
+            assert all(op.dtype == np.complex128 for op in chain_operators(f, 3).values())
+
+    def test_complex_spectral_point_keeps_its_label(self, kls):
+        assert t.spectral_R(kls, 2).label == "R(u=2+0j)"
+        op = t.spectral_R(kls, 0.5 + 1.25j)
+        assert op.label == "R(u=0.5+1.25j)" and op.mat.dtype == np.complex128

@@ -272,6 +272,24 @@ class TestIntegerBudgets:
         assert json.loads(err) == {"error": "SizeBudgetExceeded", "message": OVER_BUDGET[argv]}
 
 
+class TestTowerBudget:
+    @pytest.mark.parametrize("command", ["verify", "centralizer"])
+    def test_dense_tower_over_nonzero_budget_fails_fast(self, capsys, tmp_path, random_bform, command):
+        # a dense n = 4 b at N = 6: n^N = 4096 is inside the sparse budget, but the
+        # tower would store 16 entries of 4096^2 nonzeros, about 5 GB
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps(b_matrix_to_obj(random_bform(613, 4))))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, command, "--family", "file", "--b-file", str(path), "--N", "6")
+        assert time.perf_counter() - start < 5.0
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "SizeBudgetExceeded",
+            "message": "coproduct_T: up to 268435456 nonzeros exceed budget 8388608",
+        }
+
+
 class TestRmatrixCommand:
     def test_constant_matrix(self, capsys):
         code, out, _ = run_cli(capsys, "rmatrix", "--family", "xxz", "--q", "3")

@@ -185,10 +185,11 @@ class TestGeneratorBlocks:
         assert np.max(np.abs(g["A1"] - np.diag([kls.q, 0, 1]))) <= 1e-12
 
     def test_reassembly_round_trip(self, kls):
-        g = t.generator_blocks(kls)
-        assert np.array_equal(np.block([[g[name] for name in row] for row in GENERATOR_GRID]), l_matrix(kls).mat)
-        # complex like L, although the tower of this real L is stored in float64
-        assert all(block.dtype == np.complex128 for block in g.values())
+        for f, dtype in ((kls, np.float64), (t.builtin_bform("kls", 1.5 + 0.5j), np.complex128)):
+            g = t.generator_blocks(f)
+            assert np.array_equal(np.block([[g[name] for name in row] for row in GENERATOR_GRID]), l_matrix(f).mat)
+            # in the dtype of L, like the tower built from them
+            assert all(block.dtype == dtype for block in g.values())
 
     def test_wrong_dimension(self, xxz):
         with pytest.raises(t.UnsupportedDimension):
@@ -262,6 +263,18 @@ class TestCoproduct:
         with pytest.raises(t.SizeBudgetExceeded):
             t.coproduct_T(xxz, 16)
 
+    @pytest.mark.parametrize(
+        "family, param, N, nnz", [("kls", 2, 9, 5859375), ("kls", 1.5 + 0.5j, 7, 234375), ("xxz", 3, 12, 32768)]
+    )
+    def test_nonzero_bound_is_exact_on_the_graded_families(self, monkeypatch, family, param, N, nnz):
+        f = t.builtin_bform(family, param)
+        monkeypatch.setattr(qalg, "TOWER_NNZ_BUDGET", nnz - 1)
+        with pytest.raises(t.SizeBudgetExceeded, match=f"up to {nnz} nonzeros"):
+            t.coproduct_T(f, N)
+        monkeypatch.setattr(qalg, "TOWER_NNZ_BUDGET", nnz)
+        tower = t.coproduct_T(f, N)
+        assert sum(op.matrix.nnz for row in tower.entries for op in row) == nnz
+
 
 def dense_random_bform(seed, n):
     rng = np.random.default_rng(seed)
@@ -332,12 +345,18 @@ class TestTowerStorage:
                         assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
 
     def test_casimir_of_three_site_tower_unchanged(self, kls):
+        # real b and the float64 tower against complex b and the complex-stored
+        # tower: the same rows, and c2 within rounding
+        twin = t.BForm(
+            n=3, b=kls.b.astype(complex), b_inv=kls.b_inv.astype(complex), tau=complex(kls.tau), q=complex(kls.q)
+        )
         ref = complex_stored_tower(kls, 3)
         entries = tuple(tuple(t.ChainOp(n=3, N=3, matrix=m) for m in row) for row in ref)
-        want = t.casimir(kls, aux=t.AuxOperatorMatrix(n_a=3, N=3, entries=entries))
+        want = t.casimir(twin, aux=t.AuxOperatorMatrix(n_a=3, N=3, entries=entries))
         got = t.casimir(kls, aux=t.coproduct_T(kls, 3))
-        assert got.c2 == want.c2
-        assert [c.residual for c in got.report.checks] == [c.residual for c in want.report.checks]
+        assert abs(got.c2 - want.c2) <= 1e-14 * abs(want.c2)
+        assert [c.name for c in got.report.checks] == [c.name for c in want.report.checks]
+        assert got.report.passed and want.report.passed
 
     @pytest.mark.parametrize("segments", [1, 2])
     def test_exact_zeros_are_dropped(self, segments):
