@@ -17,8 +17,12 @@ enters on the left, as site 1,
 which by coassociativity equals the right-appended Kronecker sum
 sum_k T(m-1)[k, b] (x) L[a, k] (check_coassociativity compares the two).
 Entry (a, b) is then the n x n block matrix whose block (x, y) is
-sum_k L[k, b][x, y] * T(m-1)[a, k], and it is written directly as canonical
-CSR from row slices of the previous level, in the dtype of L: no Kronecker
+sum_k L[k, b][x, y] * T(m-1)[a, k], in the dtype of L.  When the bound on
+the tower's nonzeros fills every entry (as it does when every block of L
+is full, for a dense b), each level is one dense contraction and the
+centralizer check multiplies the dense entries by the sparse R_k and H.
+Otherwise (the graded kls and xxz towers) each level is written directly
+as canonical CSR from row slices of the previous level: no Kronecker
 product and no sparse addition is formed.
 
 The Casimir is the contraction C[a, b] = sum_{jkl} b^{-1}[a, j] T[j, k] b[k, l] T[b, l]
@@ -100,17 +104,35 @@ def generator_blocks(f: BForm) -> dict[str, np.ndarray]:
 
 
 def coproduct_T(f: BForm, N: int) -> AuxOperatorMatrix:
-    """The N-fold coproduct tower T(N) as an auxiliary-space grid.
+    """The N-fold coproduct tower T(N) as an auxiliary-space grid of canonical CSR.
 
     Built iteratively: T(1) is the block grid of L, and each further site
     enters on the left of the Kronecker product (rightmost in the auxiliary
     product), T(m)[a, b] = sum_k L[k, b] (x) T(m-1)[a, k], which by
-    coassociativity is the same T(m) as appending it on the right.  Each
-    level is written directly as canonical CSR (``_left_append``), with no
-    Kronecker product and no sparse addition, in the dtype of L.  n^N must
-    lie within SPARSE_SIZE_BUDGET, and the bound on its nonzeros that the
-    counts of L's blocks give within TOWER_NNZ_BUDGET, checked before any
-    level is built.
+    coassociativity is the same T(m) as appending it on the right.  A full
+    tower is contracted densely and a graded one written level by level as
+    CSR (``_tower``), in the dtype of L.  n^N must lie within
+    SPARSE_SIZE_BUDGET, and the bound on its nonzeros that the counts of L's
+    blocks give within TOWER_NNZ_BUDGET, checked before any level is built.
+    """
+    grid = _tower(f, N)
+    if isinstance(grid, np.ndarray):
+        grid = [[_csr(t) for t in row] for row in grid]
+    entries = tuple(
+        tuple(ChainOp(n=f.n, N=N, matrix=grid[a][b], label=f"T{N}[{a + 1},{b + 1}]") for b in range(f.n))
+        for a in range(f.n)
+    )
+    return AuxOperatorMatrix(n_a=f.n, N=N, entries=entries)
+
+
+def _tower(f: BForm, N: int) -> np.ndarray | list:
+    """T(N) as an (n, n, n^N, n^N) array when it is full, else as an n x n grid of canonical CSR.
+
+    The bound S(m) = min(S(m-1) S(1), n^(2m)) on the nonzeros of each entry,
+    S(1) the nonzero counts of L's blocks, decides, before anything is
+    allocated: T(N) is full when S(N) fills every entry, as for a dense b.
+    Then each level is one dense contraction, and otherwise each level is
+    written as CSR by ``_left_append``.
     """
     n = f.n
     if N < 1:
@@ -123,16 +145,30 @@ def coproduct_T(f: BForm, N: int) -> AuxOperatorMatrix:
         bound = np.minimum(bound @ counts, n ** (2 * m))
     if bound.sum() > TOWER_NNZ_BUDGET:
         raise SizeBudgetExceeded(f"coproduct_T: up to {bound.sum()} nonzeros exceed budget {TOWER_NNZ_BUDGET}")
-    grid = [[sp.csr_matrix(blocks[a, b]) for b in range(n)] for a in range(n)]
+    if (bound == n ** (2 * N)).all():
+        tower = blocks
+        for _ in range(2, N + 1):
+            # block (x, y) of T(m)[a, b] is sum_k L[k, b][x, y] T(m-1)[a, k];
+            # C order makes the reshape a view
+            d = n * tower.shape[2]
+            tower = np.einsum("kbxy,akij->abxiyj", blocks, tower, order="C").reshape(n, n, d, d)
+        return tower
+    grid = [[_csr(blocks[a, b]) for b in range(n)] for a in range(n)]
     for _ in range(2, N + 1):
         # row a of T(m) reads only row a of T(m-1), which is then dropped
         for a in range(n):
             grid[a] = [_left_append(grid[a], blocks[:, b]) for b in range(n)]
-    entries = tuple(
-        tuple(ChainOp(n=n, N=N, matrix=grid[a][b], label=f"T{N}[{a + 1},{b + 1}]") for b in range(n))
-        for a in range(n)
-    )
-    return AuxOperatorMatrix(n_a=n, N=N, entries=entries)
+    return grid
+
+
+def _csr(a: np.ndarray) -> sp.csr_matrix:
+    """Dense ``a`` as canonical CSR with no stored zeros: the arrays of ``sp.csr_matrix(a)``, without its COO pass.
+
+    Every tower entry fits int32 indices, which scipy also chooses there.
+    """
+    rows, cols = np.nonzero(a)
+    indptr = np.searchsorted(rows, np.arange(a.shape[0] + 1))
+    return sp.csr_matrix((a[rows, cols], cols.astype(np.int32), indptr.astype(np.int32)), shape=a.shape)
 
 
 def _left_append(row: list, column: np.ndarray) -> sp.csr_matrix:
@@ -188,22 +224,24 @@ def check_centralizer(f: BForm, N: int) -> ResidualReport:
 
     Reports one relative residual per (k, a, b) triple plus one per (a, b)
     for the Hamiltonian, each against PRODUCT_TOL (1e-8); all must vanish
-    for the tower to centralize the braid generators.
+    for the tower to centralize the braid generators.  R_k and H are CSR;
+    the entries of a full tower are dense, so its commutators are sparse x
+    dense products, and those of a graded tower are SpGEMMs.
     """
     if N < 2:
         raise ValueError("centralizer check needs N >= 2")
-    tower = coproduct_T(f, N)
+    tower = _tower(f, N)
     r = constant_R(f)
     ops = [(f"R{k}", embed(r, k, N).matrix) for k in range(1, N)] + [("H", hamiltonian(f, N).matrix)]
     report = ResidualReport()
     # residuals are relative to the tower's global scale: an entry that is
     # structurally zero must not be divided by its own vanishing magnitude
-    tower_scale = max_abs([op.matrix for row in tower.entries for op in row])
+    tower_scale = max_abs([t for row in tower for t in row])
     for name, op in ops:
         scale = max_abs(op) * tower_scale
         for a in range(f.n):
             for b in range(f.n):
-                t = tower.entry(a, b).matrix
+                t = tower[a][b]
                 comm = op @ t - t @ op
                 report.add(f"centralizer_{name}_T[{a + 1},{b + 1}]", scaled(max_abs(comm), scale), PRODUCT_TOL)
     return report

@@ -55,22 +55,35 @@ def projectors(f: BForm) -> tuple[LocalOp, LocalOp]:
 
 def spectral_R(f: BForm, u: complex) -> LocalOp:
     """The Baxterized solution R(u) = w(uq) I + w(u) X, labelled "R(u=...)"; equals u R - (1/u) R^{-1}."""
-    u = _real_if_exact(complex(u))
-    if u == 0:
-        raise ZeroSpectralParameter("spectral parameter u must be nonzero")
-    x = local_X(f)
-    mat = spectral_weight(u * f.q) * np.eye(f.n ** 2) + spectral_weight(u) * x.mat
+    u, w_uq, w_u = _spectral_point(f, u)
+    mat = w_uq * np.eye(f.n ** 2) + w_u * local_X(f).mat
     return LocalOp(f.n, mat, label=f"R(u={complex(u):g})")
 
 
-def _on_three_sites(op: LocalOp) -> tuple[np.ndarray, np.ndarray]:
-    """Dense placements of a two-site operator at sites (1,2) and (2,3) of three."""
-    return embed(op, 1, 3).to_dense(), embed(op, 2, 3).to_dense()
+def _spectral_point(f: BForm, u: complex) -> tuple:
+    """u, nonzero and real when exact, and the coefficients w(uq), w(u) of I and X in R(u)."""
+    u = _real_if_exact(complex(u))
+    if u == 0:
+        raise ZeroSpectralParameter("spectral parameter u must be nonzero")
+    return u, spectral_weight(u * f.q), spectral_weight(u)
+
+
+def _on_three_sites(f: BForm, weights: list) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Dense (R12, R23) on three sites for each pair (c, c_X) of R = c I + c_X X.
+
+    X is placed once, at sites (1, 2) and (2, 3); each entry is the same
+    float operation as in the placement of c I + c_X X, so the products are
+    those of the placed two-site operators, bit for bit.
+    """
+    x = local_X(f)
+    x12, x23 = embed(x, 1, 3).to_dense(), embed(x, 2, 3).to_dense()
+    eye = np.eye(f.n ** 3)
+    return [(c * eye + c_x * x12, c * eye + c_x * x23) for c, c_x in weights]
 
 
 def check_braid(f: BForm) -> ResidualReport:
     """Residual of R12 R23 R12 - R23 R12 R23 on three sites, against PRODUCT_TOL (1e-8)."""
-    r12, r23 = _on_three_sites(constant_R(f))
+    [(r12, r23)] = _on_three_sites(f, [(f.q, 1)])
     lhs = r12 @ r23 @ r12
     rhs = r23 @ r12 @ r23
     report = ResidualReport()
@@ -80,10 +93,7 @@ def check_braid(f: BForm) -> ResidualReport:
 
 def check_spectral_ybe(f: BForm, u: complex, v: complex) -> ResidualReport:
     """Residual of R12(u) R23(uv) R12(v) - R23(v) R12(uv) R23(u), against PRODUCT_TOL (1e-8)."""
-    ru, ruv, rv = (spectral_R(f, z) for z in (u, u * v, v))
-    ru12, ru23 = _on_three_sites(ru)
-    ruv12, ruv23 = _on_three_sites(ruv)
-    rv12, rv23 = _on_three_sites(rv)
+    (ru12, ru23), (ruv12, ruv23), (rv12, rv23) = _on_three_sites(f, [_spectral_point(f, z)[1:] for z in (u, u * v, v)])
     lhs = ru12 @ ruv23 @ rv12
     rhs = rv23 @ ruv12 @ ru23
     report = ResidualReport()
@@ -98,15 +108,14 @@ def check_tl_cubic(f: BForm) -> ResidualReport:
     q = f.q
     eye3 = np.eye(f.n ** 3)
     report = ResidualReport()
+    weights = [_spectral_point(f, 1 / q)[1:], _spectral_point(f, 1 / q ** 2)[1:], (q, 1)]
+    (a12, a23), (b12, b23), (r12, r23) = _on_three_sites(f, weights)
 
-    a12, a23 = _on_three_sites(spectral_R(f, 1 / q))
-    b12, b23 = _on_three_sites(spectral_R(f, 1 / q ** 2))
     # residuals are relative to the largest factor entry (|q| > 1 inflates
     # absolute products)
     report.add("cubic_spectral_121", rel_residual(a12 @ b23 @ a12, [a12, b23]), PRODUCT_TOL)
     report.add("cubic_spectral_212", rel_residual(a23 @ b12 @ a23, [a23, b12]), PRODUCT_TOL)
 
-    r12, r23 = _on_three_sites(constant_R(f))
     nu = f.nu
     for name, (ri, rk) in (("cubic_constant_121", (r12, r23)), ("cubic_constant_212", (r23, r12))):
         left = ri - q * eye3
@@ -125,7 +134,7 @@ def check_antisymmetrizer(f: BForm) -> ResidualReport:
     vanishes} - 1|, so it fails where q^-1 also annihilates A3 (q near +-1).
     """
     q = f.q
-    r12, r23 = _on_three_sites(constant_R(f))
+    [(r12, r23)] = _on_three_sites(f, [(q, 1)])
     eye = np.eye(f.n ** 3)
     single = (r12 + r23) / q
     double = (r12 @ r23 + r23 @ r12) / q ** 2

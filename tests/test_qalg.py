@@ -218,6 +218,8 @@ class TestCoproduct:
 
     def test_matches_aux_product_oracle(self, kls, xxz, random_bform):
         cases = [kls, t.builtin_bform("kls", 1.5 + 0.5j), xxz, random_bform(610, 3), random_bform(611, 4)]
+        # full towers of n = 2, and of b with zero entries (L graded, T(N >= 2) full)
+        cases += [random_bform(612, 2), b_with_zeros(3, [(0, 0)]), b_with_zeros(8, [(0, 1), (2, 2)])]
         for f in cases:
             for N in range(1, 5):
                 tower = t.coproduct_T(f, N)
@@ -276,6 +278,11 @@ class TestCoproduct:
         assert sum(op.matrix.nnz for row in tower.entries for op in row) == nnz
 
 
+def _congruent_kls_diag():
+    """kls p=2 under D b D: the support of kls b, so a graded tower."""
+    return t.gauge_transform(t.builtin_bform("kls", 2), np.diag([1.0, 1.3, 0.7]))
+
+
 def dense_random_bform(seed, n):
     rng = np.random.default_rng(seed)
     return t.make_bform(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
@@ -308,48 +315,86 @@ def test_tower_matches_right_appended_recursion(f, N):
             assert abs(got - ref[a][b]).max() <= 1e-13 * scale
 
 
+def complex_twin(f):
+    """f with b, b^{-1}, tau and q stored as complex: its tower is stored complex128."""
+    return t.BForm(n=f.n, b=f.b.astype(complex), b_inv=f.b_inv.astype(complex), tau=complex(f.tau), q=complex(f.q))
+
+
+def bound_fills(f, N):
+    """Whether S(N) = min(S(N-1) S(1), n^(2N)), S(1) the nonzero counts of L's blocks, fills every entry."""
+    n = f.n
+    counts = bound = np.count_nonzero(l_matrix(f).mat.reshape(n, n, n, n), axis=(1, 3))
+    for m in range(2, N + 1):
+        bound = np.minimum(bound @ counts, n ** (2 * m))
+    return bool((bound == n ** (2 * N)).all())
+
+
+def assert_bits_match_writer(f, N, tower):
+    """Every entry has the pattern of complex_stored_tower, and its data are that tower's bit for bit."""
+    ref = complex_stored_tower(f, N)
+    for a in range(f.n):
+        for b in range(f.n):
+            got, want = tower.entry(a, b).matrix, ref[a][b]
+            assert_canonical(got)
+            assert np.array_equal(got.indptr, want.indptr), (f.family, N, a, b)
+            assert np.array_equal(got.indices, want.indices), (f.family, N, a, b)
+            if got.dtype == np.float64:
+                assert not want.data.imag.any()
+                want = want.real
+            assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64)), (f.family, N, a, b)
+
+
+def assert_close_to_writer(f, N, tower):
+    """Every entry is canonical and within 1e-15 of complex_stored_tower, relative to its largest entry."""
+    ref = complex_stored_tower(f, N)
+    scale = max(abs(m).max() for row in ref for m in row)
+    for a in range(f.n):
+        for b in range(f.n):
+            got = tower.entry(a, b).matrix
+            assert_canonical(got)
+            assert abs(got - ref[a][b]).max() <= 1e-15 * scale, (N, a, b)
+
+
 class TestTowerStorage:
-    """The tower is stored in the dtype of L, with the arrays of the complex-stored writer."""
+    """The tower is stored in the dtype of L; graded towers have the arrays of the complex-stored writer."""
 
     def test_real_l_stores_float64(self, kls, xxz):
-        # real q, b and b^{-1}: the data are the real parts of the complex-stored
-        # tower bit for bit, with one segment per block (kls, xxz) and with
-        # summed duplicates (a dense real b)
+        # real q, b and b^{-1}: a graded tower (kls, xxz; one segment per
+        # block) holds the real parts of the complex-stored writer's tower bit
+        # for bit; a full one (a dense real b) is the real part of the tower
+        # of its complex twin bit for bit, and the writer's within rounding
         for f, N_max in ((kls, 7), (xxz, 7), (gauged_kls(GAUGE), 4)):
             for N in range(1, N_max + 1):
                 tower = t.coproduct_T(f, N)
-                ref = complex_stored_tower(f, N)
+                assert all(op.matrix.dtype == np.float64 for row in tower.entries for op in row)
+                if not bound_fills(f, N):
+                    assert_bits_match_writer(f, N, tower)
+                    continue
+                assert_close_to_writer(f, N, tower)
+                twin = t.coproduct_T(complex_twin(f), N)
                 for a in range(f.n):
                     for b in range(f.n):
-                        got, want = tower.entry(a, b).matrix, ref[a][b]
-                        assert got.dtype == np.float64, (f.family, N, a, b)
-                        assert_canonical(got)
-                        assert np.array_equal(got.indptr, want.indptr), (f.family, N, a, b)
-                        assert np.array_equal(got.indices, want.indices), (f.family, N, a, b)
-                        assert not want.data.imag.any()
-                        assert np.array_equal(got.data.view(np.int64), want.data.real.view(np.int64))
+                        got, want = tower.entry(a, b).matrix, twin.entry(a, b).matrix
+                        assert want.dtype == np.complex128 and not want.data.imag.any()
+                        assert np.array_equal(got.indptr, want.indptr), (N, a, b)
+                        assert np.array_equal(got.indices, want.indices), (N, a, b)
+                        assert np.array_equal(got.data.view(np.int64), want.data.real.view(np.int64)), (N, a, b)
 
     def test_complex_l_keeps_complex128(self):
         cases = [(t.builtin_bform("kls", 1.5 + 0.5j), 6), (gauged_kls(np.array(GAUGE) + 0.3j * np.eye(3)), 4)]
         for f, N_max in cases:
             for N in range(1, N_max + 1):
                 tower = t.coproduct_T(f, N)
-                ref = complex_stored_tower(f, N)
-                for a in range(f.n):
-                    for b in range(f.n):
-                        got, want = tower.entry(a, b).matrix, ref[a][b]
-                        assert got.dtype == np.complex128
-                        assert_canonical(got)
-                        assert np.array_equal(got.indptr, want.indptr)
-                        assert np.array_equal(got.indices, want.indices)
-                        assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
+                assert all(op.matrix.dtype == np.complex128 for row in tower.entries for op in row)
+                if bound_fills(f, N):
+                    assert_close_to_writer(f, N, tower)
+                else:
+                    assert_bits_match_writer(f, N, tower)
 
     def test_casimir_of_three_site_tower_unchanged(self, kls):
         # real b and the float64 tower against complex b and the complex-stored
         # tower: the same rows, and c2 within rounding
-        twin = t.BForm(
-            n=3, b=kls.b.astype(complex), b_inv=kls.b_inv.astype(complex), tau=complex(kls.tau), q=complex(kls.q)
-        )
+        twin = complex_twin(kls)
         ref = complex_stored_tower(kls, 3)
         entries = tuple(tuple(t.ChainOp(n=3, N=3, matrix=m) for m in row) for row in ref)
         want = t.casimir(twin, aux=t.AuxOperatorMatrix(n_a=3, N=3, entries=entries))
@@ -375,6 +420,70 @@ class TestTowerStorage:
         assert got.nnz == np.count_nonzero(want)
 
 
+def b_with_zeros(seed, zeros):
+    """A random complex 3 x 3 b with the given entries set to zero: L has zeros, but S(N) fills from N = 2."""
+    rng = np.random.default_rng(seed)
+    b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    for i, j in zeros:
+        b[i, j] = 0
+    return t.make_bform(b)
+
+
+class TestFullTower:
+    def cases(self, kls, xxz):
+        graded = [(kls, 5), (xxz, 7), (t.builtin_bform("kls", 1.5 + 0.5j), 4), (_congruent_kls_diag(), 4)]
+        full = [(gauged_kls(GAUGE), 4), (dense_random_bform(5, 4), 3), (dense_random_bform(6, 2), 6)]
+        return graded + full + [(b_with_zeros(3, [(0, 0)]), 4)]
+
+    def test_taken_exactly_when_the_bound_fills(self, kls, xxz):
+        seen = set()
+        for f, N_max in self.cases(kls, xxz):
+            for N in range(1, N_max + 1):
+                full = bound_fills(f, N)
+                seen.add(full)
+                grid = qalg._tower(f, N)
+                assert isinstance(grid, np.ndarray) == full, (f.family, f.n, N)
+                if full:
+                    assert grid.shape == (f.n, f.n, f.n ** N, f.n ** N)
+                    assert grid.dtype == l_matrix(f).mat.dtype
+                else:
+                    assert all(isinstance(m, sp.csr_matrix) for row in grid for m in row)
+        assert seen == {False, True}
+        # L has a zero, so T(1) is graded, yet the bound fills from two sites on
+        f = b_with_zeros(3, [(0, 0)])
+        assert not bound_fills(f, 1) and bound_fills(f, 2)
+
+    def test_entries_are_canonical_csr_in_the_dtype_of_l(self, kls, xxz):
+        # gauged kls is real, the random and zero-entry b complex
+        for f, N_max in self.cases(kls, xxz):
+            for N in range(1, N_max + 1):
+                if not bound_fills(f, N):
+                    continue
+                grid = qalg._tower(f, N)
+                tower = t.coproduct_T(f, N)
+                for a in range(f.n):
+                    for b in range(f.n):
+                        got = tower.entry(a, b).matrix
+                        assert_canonical(got)
+                        assert got.dtype == l_matrix(f).mat.dtype == grid.dtype
+                        assert got.indices.dtype == got.indptr.dtype == np.int32
+                        assert np.array_equal(got.toarray(), grid[a, b])
+                        assert got.nnz == np.count_nonzero(grid[a, b])
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (9, 9), (81, 81)])
+    def test_csr_helper_has_the_arrays_of_scipy(self, shape, dtype):
+        rng = np.random.default_rng(shape[0])
+        for fill in (0.0, 0.4, 1.0):
+            a = (rng.normal(size=shape) * (rng.random(shape) < fill)).astype(dtype)
+            got, want = qalg._csr(a), sp.csr_matrix(a)
+            assert got.shape == want.shape
+            for name in ("data", "indices", "indptr"):
+                x, y = getattr(got, name), getattr(want, name)
+                assert x.dtype == y.dtype and np.array_equal(x, y), name
+            assert_canonical(got)
+
+
 class TestCentralizer:
     def test_kls_two_and_three_sites(self, kls):
         for N in (2, 3):
@@ -390,6 +499,29 @@ class TestCentralizer:
         report = t.check_centralizer(kls, 3)
         # (N-1) braid generators x 9 entries + 9 Hamiltonian entries
         assert len(report.checks) == 2 * 9 + 9
+
+    @pytest.mark.parametrize("model, N", [("gauged kls", 3), ("gauged kls", 4), ("random n=4", 3)])
+    def test_dense_b_matches_spgemm_reference(self, model, N):
+        # full towers: dense entries times the sparse R_k and H, against the
+        # CSR writer's entries and one SpGEMM pair per entry
+        f = gauged_kls(GAUGE) if model == "gauged kls" else dense_random_bform(611, 4)
+        assert bound_fills(f, N)
+        report = t.check_centralizer(f, N)
+        tower = complex_stored_tower(f, N)
+        tower_scale = max(abs(m).max() for row in tower for m in row)
+        ops = [(f"R{k}", t.embed(t.constant_R(f), k, N).matrix) for k in range(1, N)]
+        ops.append(("H", t.hamiltonian(f, N).matrix))
+        want = []
+        for name, op in ops:
+            for a in range(f.n):
+                for b in range(f.n):
+                    comm = op @ tower[a][b] - tower[a][b] @ op
+                    residual = abs(comm).max() / (abs(op).max() * tower_scale)
+                    want.append((f"centralizer_{name}_T[{a + 1},{b + 1}]", residual))
+        assert [c.name for c in report.checks] == [name for name, _ in want]
+        assert report.passed
+        for check, (_, residual) in zip(report.checks, want):
+            assert abs(check.residual - residual) <= 1e-15, check.name
 
 
 def loop_casimir_grid(f, aux):

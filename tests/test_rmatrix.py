@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tlspin as t
-from tlspin.linalg import max_abs
+from tlspin.linalg import max_abs, rel_residual
 
 
 def xxz_braid_literal(q):
@@ -174,6 +174,52 @@ class TestAntisymmetrizer:
 
     def test_report_flags_unique_candidate(self, kls):
         assert t.check_antisymmetrizer(kls).passed
+
+
+def embed_per_operator_rows(f, u, v):
+    """The three-site rows with each R placed on its own through embed, in report order."""
+    q = f.q
+
+    def placed(op):
+        return t.embed(op, 1, 3).to_dense(), t.embed(op, 2, 3).to_dense()
+
+    r12, r23 = placed(t.constant_R(f))
+    rows = [("braid", rel_residual(r12 @ r23 @ r12 - r23 @ r12 @ r23, [r12 @ r23 @ r12, r23 @ r12 @ r23]))]
+    (ru12, ru23), (ruv12, ruv23), (rv12, rv23) = (placed(t.spectral_R(f, z)) for z in (u, u * v, v))
+    lhs, rhs = ru12 @ ruv23 @ rv12, rv23 @ ruv12 @ ru23
+    rows.append(("spectral_ybe", rel_residual(lhs - rhs, [lhs, rhs])))
+    eye = np.eye(f.n ** 3)
+    (a12, a23), (b12, b23) = placed(t.spectral_R(f, 1 / q)), placed(t.spectral_R(f, 1 / q ** 2))
+    rows.append(("cubic_spectral_121", rel_residual(a12 @ b23 @ a12, [a12, b23])))
+    rows.append(("cubic_spectral_212", rel_residual(a23 @ b12 @ a23, [a23, b12])))
+    for name, (ri, rk) in (("cubic_constant_121", (r12, r23)), ("cubic_constant_212", (r23, r12))):
+        left, mid = ri - q * eye, f.nu * rk - q ** 2 * eye
+        rows.append((name, rel_residual(left @ mid @ left, [left, mid])))
+    single, double = (r12 + r23) / q, (r12 @ r23 + r23 @ r12) / q ** 2
+    triple = r12 @ r23 @ r12
+    top = eye - single + double - q ** -3 * triple
+    rows.append(("antisym_vanishing[q^-3]", rel_residual(top, [eye, single, double, q ** -3 * triple])))
+    return rows
+
+
+THREE_SITE_MODELS = {
+    "kls 2": lambda: t.builtin_bform("kls", 2),
+    "kls 1.5+0.5j": lambda: t.builtin_bform("kls", 1.5 + 0.5j),
+    "xxz 3": lambda: t.builtin_bform("xxz", 3),
+    "xxz 2+1j": lambda: t.builtin_bform("xxz", 2 + 1j),
+    "dense b": lambda: t.make_bform(np.array([[1.0, 0.4 - 0.2j, -0.3], [0.2j, 1.5, 0.1], [-0.5, 0.3 + 0.1j, 2.0]])),
+}
+
+
+@pytest.mark.parametrize("model", list(THREE_SITE_MODELS))
+def test_three_site_rows_equal_embed_per_operator(model):
+    # X is placed once per check, and R = c I + c_X X formed on three sites:
+    # the same float operations as placing each R, so the same bits
+    f = THREE_SITE_MODELS[model]()
+    for u, v in ((2, 0.7), (0.5 + 1.25j, 1.3 - 0.4j), (-1.7, 0.9j)):
+        got = t.check_braid(f).checks + t.check_spectral_ybe(f, u, v).checks
+        got += t.check_tl_cubic(f).checks + t.check_antisymmetrizer(f).checks[:1]
+        assert [(c.name, c.residual) for c in got] == embed_per_operator_rows(f, u, v), (model, u, v)
 
 
 class TestWeightSymmetry:
