@@ -88,17 +88,25 @@ def _select_root(r1: complex, r2: complex, allow_unimodular_q: bool) -> complex:
     return complex(r1 if abs(r1) > abs(r2) else r2)
 
 
-def _q_from_tau(tau: complex, allow_unimodular_q: bool, tol: float) -> complex:
-    if abs(tau - 2) <= tol or abs(tau + 2) <= tol:
+def _q_from_tau(tau: complex, allow_unimodular_q: bool) -> complex:
+    if abs(tau - 2) <= GLOBAL_TOL or abs(tau + 2) <= GLOBAL_TOL:
         raise DegenerateParameter(f"tau = {tau} forces q = -+1, which is excluded")
     r1, r2 = np.roots([1.0, complex(tau), 1.0])
     return _select_root(r1, r2, allow_unimodular_q)
 
 
+def _require_regular(mat: np.ndarray, name: str) -> None:
+    """Raise SingularMatrix when sigma_min <= GLOBAL_TOL * sigma_max."""
+    s = np.linalg.svd(mat, compute_uv=False)
+    if s[-1] <= GLOBAL_TOL * s[0]:
+        raise SingularMatrix(
+            f"{name} is singular at tolerance {GLOBAL_TOL:.1e} (sigma_min/sigma_max = {scaled(s[-1], s[0]):.3e})"
+        )
+
+
 def make_bform(
     b,
     *,
-    tol: float = GLOBAL_TOL,
     allow_unimodular_q: bool = False,
     family: str | None = None,
     b_inv=None,
@@ -115,17 +123,14 @@ def make_bform(
     ``b_inv`` and ``q_root`` may be supplied when the inverse or the root is
     known in closed form (the built-in families use both, which keeps
     structurally zero operator entries exactly zero); ``q_root`` must obey
-    the same selection rule and is validated against tau.
+    the same selection rule and is validated against tau.  b counts as
+    singular, and tau as degenerate (q = -+1), at the fixed GLOBAL_TOL.
     """
     mat = _square_matrix(b, "b")
     n = mat.shape[0]
     if n < 2:
         raise ValueError("local dimension n must be at least 2")
-    s = np.linalg.svd(mat, compute_uv=False)
-    if s[-1] <= tol * s[0]:
-        raise SingularMatrix(
-            f"b is singular at tolerance {tol:.1e} (sigma_min/sigma_max = {s[-1] / s[0]:.3e})"
-        )
+    _require_regular(mat, "b")
     inv = np.linalg.inv(mat) if b_inv is None else _square_matrix(b_inv, "b_inv")
     tau = _real_if_exact(complex(np.trace(mat.T @ inv)))
     if q_root is not None:
@@ -133,36 +138,31 @@ def make_bform(
         if q == 0 or _select_root(q, 1 / q, allow_unimodular_q) != q:
             raise ValueError("q_root violates the root selection rule")
     else:
-        q = _q_from_tau(tau, allow_unimodular_q, tol)
+        q = _q_from_tau(tau, allow_unimodular_q)
     return BForm(n=n, b=mat, b_inv=inv, tau=tau, q=_real_if_exact(q), family=family)
 
 
-def builtin_bform(
-    family: str,
-    param,
-    *,
-    tol: float = GLOBAL_TOL,
-    allow_unimodular_q: bool = False,
-) -> BForm:
-    """One of the built-in families: ``kls`` (n=3, parameter p) or ``xxz`` (n=2)."""
+def builtin_bform(family: str, param, *, allow_unimodular_q: bool = False) -> BForm:
+    """One of the built-in families: ``kls`` (n=3, parameter p) or ``xxz`` (n=2).
+
+    The xxz parameter counts as degenerate within GLOBAL_TOL of 0, 1 and -1.
+    """
     if family == "kls":
         p = complex(param)
         if p == 0:
             raise DegenerateParameter("kls family requires p != 0")
         b = np.fliplr(np.diag([p ** k for k in (1, 0, -1)]))
         # b is an involution, so pass the exact inverse.
-        return make_bform(b, tol=tol, allow_unimodular_q=allow_unimodular_q, family="kls", b_inv=b.copy())
+        return make_bform(b, allow_unimodular_q=allow_unimodular_q, family="kls", b_inv=b.copy())
     if family == "xxz":
         q0 = complex(param)
-        if abs(q0) <= tol or abs(q0 - 1) <= tol or abs(q0 + 1) <= tol:
+        if abs(q0) <= GLOBAL_TOL or abs(q0 - 1) <= GLOBAL_TOL or abs(q0 + 1) <= GLOBAL_TOL:
             raise DegenerateParameter("xxz family requires q != 0, +-1")
         b = np.array([[0, 1], [-q0, 0]])
         inv = np.array([[0, -1 / q0], [1, 0]])
         # the roots of the quadratic are exactly {q0, 1/q0}
         root = _select_root(q0, 1 / q0, allow_unimodular_q)
-        return make_bform(
-            b, tol=tol, allow_unimodular_q=allow_unimodular_q, family="xxz", b_inv=inv, q_root=root
-        )
+        return make_bform(b, allow_unimodular_q=allow_unimodular_q, family="xxz", b_inv=inv, q_root=root)
     raise ValueError(f"unknown family {family!r} (expected 'kls' or 'xxz')")
 
 
@@ -172,18 +172,14 @@ def gauge_transform(f: BForm, m) -> BForm:
     Trace cyclicity makes tau (hence q) exactly invariant, so both scalars
     are carried over rather than recomputed through the transformed inverse;
     the two-site generator transforms by conjugation with M (x) M.  M and
-    M b M^t count as singular when sigma_min <= GLOBAL_TOL * sigma_max.
+    M b M^t count as singular by the rule of ``make_bform``.
     """
     mat = _square_matrix(m, "M")
     if mat.shape != (f.n, f.n):
         raise ValueError(f"M must be {f.n} x {f.n}")
-    s = np.linalg.svd(mat, compute_uv=False)
-    if s[-1] <= GLOBAL_TOL * s[0]:
-        raise SingularMatrix("gauge matrix M is singular at the working tolerance")
+    _require_regular(mat, "gauge matrix M")
     b2 = mat @ f.b @ mat.T
-    s2 = np.linalg.svd(b2, compute_uv=False)
-    if s2[-1] <= GLOBAL_TOL * s2[0]:
-        raise SingularMatrix("transformed matrix is singular at the working tolerance")
+    _require_regular(b2, "transformed matrix M b M^t")
     return BForm(n=f.n, b=b2, b_inv=np.linalg.inv(b2), tau=f.tau, q=f.q)
 
 

@@ -158,23 +158,19 @@ def _block_stacks(coo: sp.coo_matrix, blocks: list[np.ndarray]):
         start += count * size
 
 
-def spectrum(h: ChainOp, cluster_tol: float | None = None) -> SpectrumReport:
+def spectrum(h: ChainOp) -> SpectrumReport:
     """Full eigenvalue list of a chain operator, clustered by single linkage.
 
     Each connected component of the sparsity pattern of H + H^T spans an
     invariant subspace, so its diagonal block is solved on its own; blocks
     of one size go to one stacked solver call, scattered straight from the
-    sparse entries.  Uses the Hermitian solver when the operator is
-    Hermitian (tighter default clustering); the general solver otherwise.
-    n^N must lie within DENSE_SIZE_BUDGET.  An explicit ``cluster_tol`` must
-    be finite and positive, or ValueError is raised.
+    sparse entries.  A Hermitian operator takes the Hermitian solver and the
+    clustering radius CLUSTER_TOL_HERMITIAN; any other, the general solver
+    and CLUSTER_TOL_GENERAL.  n^N must lie within DENSE_SIZE_BUDGET.
     """
-    if cluster_tol is not None and not 0 < cluster_tol < np.inf:
-        raise ValueError(f"cluster_tol must be finite and positive, got {cluster_tol}")
     check_size_budget(h.dim, DENSE_SIZE_BUDGET, f"densifying {h.label or 'chain operator'}")
     hermitian = h.is_hermitian()
-    if cluster_tol is None:
-        cluster_tol = CLUSTER_TOL_HERMITIAN if hermitian else CLUSTER_TOL_GENERAL
+    cluster_tol = CLUSTER_TOL_HERMITIAN if hermitian else CLUSTER_TOL_GENERAL
     solve = np.linalg.eigvalsh if hermitian else np.linalg.eigvals
     coo = h.matrix.tocoo()
     coo.sum_duplicates()

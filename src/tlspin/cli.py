@@ -3,7 +3,7 @@
 Exit codes: 0 all checks passed, 1 at least one check failed (or a
 verification-type error such as a non-scalar Casimir contraction),
 2 usage or configuration errors.  Reports are JSON on stdout by default
-("schema": 1); errors are JSON on stderr.
+("schema": 2); errors are JSON on stderr.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .errors import (
     NormalizationFailure,
     TLSpinError,
 )
-from .linalg import GLOBAL_TOL
 from .reports import REPORT_SCHEMA_VERSION, ResidualReport, complex_to_pair, matrix_to_pairs
 from .tl_rep import check_tl_relations
 
@@ -56,23 +55,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--q", type=parse_complex, default=None, help="xxz family parameter")
         p.add_argument("--b-file", default=None, help="JSON b-matrix file (family 'file')")
         p.add_argument("--n", type=int, default=None, help="expected local dimension (validated)")
-        p.add_argument("--tol", type=float, default=GLOBAL_TOL, help="construction tolerance")
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=["json", "csv", "text"], default="json")
-        p.add_argument("--seed", type=int, default=42)
 
     cmd = sub.add_parser("verify", help="run the full identity suite")
     add_b_source(cmd)
     cmd.add_argument("--N", type=int, default=3)
-    cmd.add_argument("--u", type=parse_complex, default=None, help="explicit spectral point")
-    cmd.add_argument("--v", type=parse_complex, default=None, help="explicit spectral point")
     add_common(cmd)
+    cmd.add_argument("--seed", type=int, default=42, help="draws the spectral points of the Yang-Baxter rows")
 
     cmd = sub.add_parser("spectrum", help="chain Hamiltonian spectrum and isotypic assignment")
     add_b_source(cmd)
     cmd.add_argument("--N", type=int, default=3)
-    cmd.add_argument("--cluster-tol", type=float, default=None)
     cmd.add_argument("--raw", action="store_true", help="CSV lists raw eigenvalues, not clusters")
     add_common(cmd)
 
@@ -123,26 +118,19 @@ def _build_bform(args) -> BForm:
             f"got {sorted(provided)}"
         )
     if family == "kls":
-        f = builtin_bform("kls", args.p, tol=args.tol)
+        f = builtin_bform("kls", args.p)
     elif family == "xxz":
-        f = builtin_bform("xxz", args.q, tol=args.tol)
+        f = builtin_bform("xxz", args.q)
     else:
-        f = load_bform(args.b_file, tol=args.tol)
+        f = load_bform(args.b_file)
     if args.n is not None and args.n != f.n:
         raise ValueError(f"--n {args.n} does not match the local dimension {f.n} of b")
     return f
 
 
 def _config_echo(args) -> dict:
-    cfg = {"command": args.command, "seed": getattr(args, "seed", None)}
-    for key in ("family", "b_file", "n", "N", "K", "tol", "format", "cluster_tol"):
-        if hasattr(args, key):
-            cfg[key] = getattr(args, key)
-    for key in ("p", "q", "u", "v"):
-        if hasattr(args, key):
-            val = getattr(args, key)
-            cfg[key] = None if val is None else complex_to_pair(val)
-    return cfg
+    """The parsed flags of the subcommand, with complex values as [re, im] pairs."""
+    return {key: complex_to_pair(val) if isinstance(val, complex) else val for key, val in vars(args).items()}
 
 
 def _seeded_uv_pairs(seed: int) -> list[tuple[complex, complex]]:
@@ -177,15 +165,9 @@ def run_verify_suite(f: BForm, N: int, seed: int) -> ResidualReport:
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
-    if (args.u is None) != (args.v is None):
-        raise ValueError("--u and --v set the explicit spectral point together; give both or neither")
     f = _build_bform(args)
     start = time.perf_counter()
     report = run_verify_suite(f, args.N, args.seed)
-    if args.u is not None:
-        ybe = rmatrix.check_spectral_ybe(f, args.u, args.v)
-        for c in ybe.checks:
-            report.add(f"{c.name}_explicit", c.residual, c.threshold)
     wall_time_ms = (time.perf_counter() - start) * 1000.0
     code = 0 if report.passed else 1
     return {"checks": [c.to_dict() for c in report.checks], "wall_time_ms": wall_time_ms}, code
@@ -194,7 +176,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
 def _cmd_spectrum(args) -> tuple[dict, int]:
     f = _build_bform(args)
     h = chain_mod.hamiltonian(f, args.N)
-    rep = chain_mod.spectrum(h, args.cluster_tol)
+    rep = chain_mod.spectrum(h)
     table = rep_ring.decomposition_table(f.n, args.N)
     body: dict = {"tables": {"spectrum": rep.to_dict(), "decomposition": table.to_dict()}}
     if args.raw:

@@ -31,7 +31,6 @@ from .errors import NormalizationFailure, SizeBudgetExceeded
 from .linalg import (
     DENSE_SIZE_BUDGET,
     PRODUCT_TOL,
-    RANK_RTOL,
     _blocks,
     check_size_budget,
     max_abs,
@@ -177,16 +176,13 @@ def quantum_plane_dims(f: BForm) -> dict:
 
     ``sym``: quotient by the single relation spanned by the flattened b
     inverse (expected p_d(n) in degree d); ``ext``: quotient by the image
-    of the complementary projector (expected 1, n, 1, 0).  Ranks count
-    singular values above RANK_RTOL * sigma_max.
+    of the complementary projector, spanned by its columns (expected 1, n,
+    1, 0).  Ranks are ``numerical_rank``.
     """
     n = f.n
     check_size_budget(n ** 3, DENSE_SIZE_BUDGET, "quantum_plane_dims")
     rel_sym = f.b_inv.ravel().reshape(-1, 1)
-    p_plus, _ = projectors(f)
-    u, s, _ = np.linalg.svd(p_plus.mat)
-    r = int(np.sum(s > RANK_RTOL * s[0]))
-    rel_ext = u[:, :r]
+    rel_ext = projectors(f)[0].mat
     out = {}
     for name, rel in (("sym", rel_sym), ("ext", rel_ext)):
         dims = []

@@ -20,7 +20,7 @@ from tlspin.cli import build_parser, main, parse_complex
 THRESHOLDS = {
     r"tl_(square_j\d+|sandwich_j\d+_k\d+|commute_j\d+_k\d+)": 1e-10,
     r"braid": 1e-8,
-    r"spectral_ybe_(\d+|explicit)": 1e-8,
+    r"spectral_ybe_\d+": 1e-8,
     r"cubic_(spectral|constant)_(121|212)": 1e-8,
     r"antisym_vanishing\[q\^-3\]": 1e-8,
     r"antisym_unique_named_candidate": 0.0,
@@ -67,7 +67,7 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--family", "kls", "--p", "2", "--n", "3", "--N", "3")
         assert code == 0
         report = json.loads(out)
-        assert report["schema"] == 1
+        assert report["schema"] == 2
         assert report["exit"] == 0
         assert report["checks"] and all(c["pass"] for c in report["checks"])
         assert {"name", "residual", "threshold", "pass"} <= set(report["checks"][0])
@@ -134,10 +134,11 @@ class TestVerify:
 
     @pytest.mark.parametrize("flag", ["--u", "--v"])
     def test_half_a_spectral_point_is_usage_error(self, capsys, flag):
+        # verify takes no explicit spectral point: its points come from --seed
         code, out, err = run_cli(capsys, "verify", "--family", "kls", "--p", "2", "--N", "3", flag, "2")
         assert code == 2
         assert out == ""
-        assert json.loads(err)["error"] == "ValueError"
+        assert f"unrecognized arguments: {flag} 2" in err
 
     def test_antisymmetrizer_row_near_q_one(self, capsys):
         # q^-1 and q^-3 both annihilate A3 at q -> 1: the q^-3 row is still
@@ -148,14 +149,6 @@ class TestVerify:
         assert list(rows) == ["antisym_vanishing[q^-3]", "antisym_unique_named_candidate"]
         assert rows["antisym_unique_named_candidate"]["residual"] == 1.0
         assert not rows["antisym_unique_named_candidate"]["pass"]
-
-    def test_explicit_spectral_point(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "verify", "--family", "xxz", "--q", "3", "--N", "3", "--u", "2", "--v", "0.7"
-        )
-        assert code == 0
-        names = [c["name"] for c in json.loads(out)["checks"]]
-        assert any(name.endswith("_explicit") for name in names)
 
 
 class TestSpectrumCommand:
@@ -189,10 +182,11 @@ class TestSpectrumCommand:
 
     @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
     def test_bad_cluster_tol_is_usage_error(self, capsys, value):
+        # the clustering radius is fixed by hermiticity; no value is accepted
         code, out, err = run_cli(capsys, "spectrum", "--family", "kls", "--p", "2", "--N", "3", "--cluster-tol", value)
         assert code == 2
         assert out == ""
-        assert json.loads(err)["error"] == "ValueError"
+        assert f"unrecognized arguments: --cluster-tol {value}" in err
 
     def test_shared_real_parts_pass(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "--family", "kls", "--p", "1+1j", "--N", "3")
@@ -373,7 +367,7 @@ class TestThresholds:
         runs = [
             ("verify", "--family", "kls", "--p", "2", "--N", "3"),
             ("verify", "--family", "xxz", "--q", "3", "--N", "4"),
-            ("verify", "--family", "file", "--b-file", str(path), "--N", "3", "--u", "2", "--v", "0.7"),
+            ("verify", "--family", "file", "--b-file", str(path), "--N", "3"),
             ("centralizer", "--family", "kls", "--p", "2", "--N", "3"),
             ("casimir", "--family", "kls", "--p", "2"),
             ("symmetrizer", "--family", "xxz", "--q", "3", "--N", "4"),
@@ -395,6 +389,67 @@ class TestThresholds:
             assert threshold == THRESHOLDS[patterns[0]], name
             matched.add(patterns[0])
         assert matched == set(THRESHOLDS)
+
+
+KLS = ("--family", "kls", "--p", "2")
+
+# Options that no caller set, removed with the code that served them: a
+# construction tolerance, a clustering radius, an explicit Yang-Baxter point,
+# and a seed on the subcommands that draw nothing.
+REMOVED_OPTIONS = [
+    # merged all 81 eigenvalues into one cluster, which passes isotypic_assignment vacuously
+    ("spectrum", *KLS, "--N", "4", "--cluster-tol", "1e3"),
+    ("verify", *KLS, "--N", "3", "--tol", "1e-3"),
+    ("spectrum", *KLS, "--N", "3", "--tol", "1e-3"),
+    ("casimir", *KLS, "--tol", "1e-3"),
+    ("verify", "--family", "xxz", "--q", "3", "--N", "3", "--u", "2", "--v", "0.7"),
+    ("spectrum", *KLS, "--N", "3", "--seed", "1"),
+    ("decompose", "--n", "3", "--N", "4", "--seed", "1"),
+    ("rmatrix", *KLS, "--seed", "1"),
+    ("casimir", *KLS, "--seed", "1"),
+    ("centralizer", *KLS, "--N", "3", "--seed", "1"),
+    ("poincare", "--n", "3", "--K", "5", "--seed", "1"),
+    ("symmetrizer", *KLS, "--N", "3", "--seed", "1"),
+]
+
+# The flags each subcommand parses, which its JSON config echoes.
+B_SOURCE = {"family", "p", "q", "b_file", "n"}
+CONFIG_KEYS = {
+    ("verify", *KLS): {"command", "format", "N", "seed"} | B_SOURCE,
+    ("spectrum", *KLS): {"command", "format", "N", "raw"} | B_SOURCE,
+    ("decompose", "--n", "3", "--N", "4"): {"command", "format", "n", "N"},
+    ("rmatrix", *KLS): {"command", "format", "u"} | B_SOURCE,
+    ("casimir", *KLS): {"command", "format"} | B_SOURCE,
+    ("centralizer", *KLS): {"command", "format", "N"} | B_SOURCE,
+    ("poincare", "--n", "3", "--K", "5"): {"command", "format", "n", "K"},
+    ("symmetrizer", *KLS): {"command", "format", "N"} | B_SOURCE,
+}
+
+
+class TestOptions:
+    @pytest.mark.parametrize("argv", REMOVED_OPTIONS)
+    def test_removed_option_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("argv", list(CONFIG_KEYS))
+    def test_config_echoes_exactly_the_parsed_flags(self, capsys, argv):
+        report = json.loads(run_cli(capsys, *argv)[1])
+        assert report["schema"] == 2
+        assert set(report["config"]) == CONFIG_KEYS[argv]
+        assert report["config"]["command"] == argv[0]
+
+    def test_config_values(self, capsys):
+        out = run_cli(capsys, "verify", "--family", "kls", "--p", "1.5+0.5j", "--N", "3", "--seed", "7")[1]
+        assert json.loads(out)["config"] == {
+            "command": "verify", "family": "kls", "p": [1.5, 0.5], "q": None, "b_file": None,
+            "n": None, "N": 3, "format": "json", "seed": 7,
+        }
+        out = run_cli(capsys, "rmatrix", "--family", "xxz", "--q", "3", "--u", "2")[1]
+        config = json.loads(out)["config"]
+        assert (config["q"], config["u"], config["p"]) == ([3.0, 0.0], [2.0, 0.0], None)
 
 
 class TestEntryPoint:

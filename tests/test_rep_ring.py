@@ -174,17 +174,26 @@ class TestQuantumPlaneDims:
         assert dims["ext"] == [1, 2, 1, 0]
 
     def test_random_b(self, random_bform):
-        for seed in range(5):
-            f = random_bform(40 + seed, 2)
-            dims = t.quantum_plane_dims(f)
-            assert dims["sym"] == [1, 2, 3, 4]
-            assert dims["ext"] == [1, 2, 1, 0]
+        for n in (2, 3, 4, 5):
+            for seed in range(5):
+                dims = t.quantum_plane_dims(random_bform(40 + seed, n))
+                assert dims["sym"] == t.dims_p(n, 3)
+                assert dims["ext"] == [1, n, 1, 0]
 
     def test_random_b_n4(self, random_bform):
         f = random_bform(51, 4)
         dims = t.quantum_plane_dims(f)
         assert dims["sym"] == [1, 4, 15, 56]
         assert dims["ext"] == [1, 4, 1, 0]
+
+    @pytest.mark.parametrize("cond", [1, 10, 100, 1000])
+    @pytest.mark.parametrize("p", [2, 1.5 + 0.5j])
+    def test_gauged_kls(self, cond, p):
+        # M = U diag(1, sqrt(cond), cond) V: a congruence of condition number cond
+        rng = np.random.default_rng(cond)
+        u, v = (np.linalg.qr(rng.normal(size=(3, 3)))[0] for _ in range(2))
+        f = t.gauge_transform(t.builtin_bform("kls", p), u @ np.diag([1.0, np.sqrt(cond), cond]) @ v)
+        assert t.quantum_plane_dims(f) == {"sym": [1, 3, 8, 21], "ext": [1, 3, 1, 0]}
 
 
 class TestSymmetrizer:
