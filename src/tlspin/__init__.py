@@ -8,10 +8,19 @@ defining identity numerically and matches spectra against the integer
 representation-ring predictions.
 """
 
-from .bform import BForm, builtin_bform, gauge_transform, load_bform, make_bform, parse_b_matrix
+from .bform import (
+    BForm,
+    builtin_bform,
+    gauge_transform,
+    graded_congruence,
+    load_bform,
+    make_bform,
+    parse_b_matrix,
+)
 from .chain import (
     IsotypicAssignment,
     SpectrumReport,
+    chain_spectrum,
     check_isotypic,
     check_weight_symmetry,
     hamiltonian,
@@ -76,6 +85,7 @@ __all__ = [
     "builtin_bform",
     "make_bform",
     "gauge_transform",
+    "graded_congruence",
     "load_bform",
     "parse_b_matrix",
     "LocalOp",
@@ -116,6 +126,7 @@ __all__ = [
     "SymmetrizerResult",
     "hamiltonian",
     "spectrum",
+    "chain_spectrum",
     "SpectrumReport",
     "check_isotypic",
     "IsotypicAssignment",

@@ -183,6 +183,33 @@ def gauge_transform(f: BForm, m) -> BForm:
     return BForm(n=f.n, b=b2, b_inv=np.linalg.inv(b2), tau=f.tau, q=f.q)
 
 
+def graded_congruence(f: BForm) -> BForm:
+    """The congruent form V^t b V in the eigenbasis V of the cosquare b^{-t} b, or f itself.
+
+    The cosquare is the congruence invariant of b; its eigenvectors carry the
+    one-site Cartan weights.  For eigenvalues with lambda_i lambda_j != 1
+    the entry v_i^t b v_j vanishes, so a generic b becomes a generalized
+    permutation, whose chain Hamiltonian splits into weight sectors.  Entries
+    of V^t b V at most GLOBAL_TOL times its largest are dropped; the form is
+    returned when exactly one entry is left in each row and column, with its
+    exact inverse (reciprocals, transposed) and tau and q carried over as in
+    ``gauge_transform``.  f itself is returned when b already has n nonzeros
+    (kls, xxz) or the dropped form is not a generalized permutation.
+    """
+    if np.count_nonzero(f.b) == f.n:
+        return f
+    _, v = np.linalg.eig(np.linalg.solve(f.b.T, f.b))
+    g = v.T @ f.b @ v
+    g[np.abs(g) <= GLOBAL_TOL * max_abs(g)] = 0
+    kept = g != 0
+    if not (kept.sum(axis=0) == 1).all() or not (kept.sum(axis=1) == 1).all():
+        return f
+    g = _real_if_exact(g)
+    inv = np.zeros_like(g)
+    inv[kept] = 1 / g[kept]
+    return BForm(n=f.n, b=g, b_inv=inv.T.copy(), tau=f.tau, q=f.q)
+
+
 def parse_b_matrix(obj: dict) -> np.ndarray:
     """Parse the b-matrix JSON object {"n": int, "entries": [[[re,im],...],...]}."""
     if not isinstance(obj, dict) or "n" not in obj or "entries" not in obj:
@@ -212,8 +239,8 @@ def b_matrix_to_obj(f: BForm) -> dict:
     }
 
 
-def load_bform(path, **kwargs) -> BForm:
+def load_bform(path) -> BForm:
     """Read a b matrix from a JSON file and build the BForm."""
     with open(Path(path), "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    return make_bform(parse_b_matrix(obj), **kwargs)
+    return make_bform(parse_b_matrix(obj))

@@ -11,10 +11,14 @@ The spectrum is solved one block at a time: the connected components of
 the sparsity pattern of H + H^T are invariant subspaces of H, so the
 eigenvalues of the diagonal blocks on them are those of H.  For the
 built-in families the blocks refine the U_q(sl2) weight sectors, with no
-grading computed; a dense b gives a single block, the whole matrix.  The
-connected-components routine ``linalg._blocks`` serves both the sparsity
-pattern of H and the links between close eigenvalues that form the
-degenerate clusters (and the symmetrizer's blocks in ``rep_ring``).
+grading computed.  A dense b gives a single block, the whole matrix, so
+``chain_spectrum`` solves it through its congruent form in the eigenbasis
+of the cosquare b^{-t} b (``bform.graded_congruence``): a generalized
+permutation, whose H is similar to H_b and splits into weight sectors
+(Pasquier-Saleur).  The connected-components routine ``linalg._blocks``
+serves both the sparsity pattern of H and the links between close
+eigenvalues that form the degenerate clusters (and the symmetrizer's
+blocks in ``rep_ring``).
 
 For the kls family the weight h = diag(1, 0, -1) commutes with R and,
 summed over the sites, with H; ``check_weight_symmetry`` reads both
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .bform import BForm
+from .bform import BForm, graded_congruence
 from .errors import ConvergenceFailure, NoConsistentAssignment, UnsupportedDimension
 from .linalg import (
     DENSE_SIZE_BUDGET,
@@ -79,12 +83,16 @@ class SpectrumReport:
     clusters: tuple
     total: int
     hermitian: bool
-    cluster_tol: float
     eigenvalues: tuple = ()
 
     def __post_init__(self) -> None:
         if sum(c.multiplicity for c in self.clusters) != self.total:
             raise ValueError("cluster multiplicities do not sum to the space dimension")
+
+    @property
+    def cluster_tol(self) -> float:
+        """The clustering radius, fixed by hermiticity."""
+        return CLUSTER_TOL_HERMITIAN if self.hermitian else CLUSTER_TOL_GENERAL
 
     def to_dict(self) -> dict:
         return {
@@ -170,7 +178,6 @@ def spectrum(h: ChainOp) -> SpectrumReport:
     """
     check_size_budget(h.dim, DENSE_SIZE_BUDGET, f"densifying {h.label or 'chain operator'}")
     hermitian = h.is_hermitian()
-    cluster_tol = CLUSTER_TOL_HERMITIAN if hermitian else CLUSTER_TOL_GENERAL
     solve = np.linalg.eigvalsh if hermitian else np.linalg.eigvals
     coo = h.matrix.tocoo()
     coo.sum_duplicates()
@@ -179,17 +186,34 @@ def spectrum(h: ChainOp) -> SpectrumReport:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
     values = np.concatenate(parts).astype(complex)
-    clusters = tuple(_cluster_eigenvalues(values, cluster_tol))
     order = np.lexsort((values.imag, values.real))
     return SpectrumReport(
         n=h.n,
         N=h.N,
-        clusters=clusters,
+        clusters=tuple(_cluster_eigenvalues(values, CLUSTER_TOL_HERMITIAN if hermitian else CLUSTER_TOL_GENERAL)),
         total=h.dim,
         hermitian=hermitian,
-        cluster_tol=cluster_tol,
         eigenvalues=tuple(complex(v) for v in values[order]),
     )
+
+
+def chain_spectrum(f: BForm, N: int) -> SpectrumReport:
+    """The spectrum of H on N sites of f, solved in the weight sectors of its graded congruence.
+
+    ``graded_congruence`` gives a generalized permutation congruent to a
+    generic dense b; its H is similar to H_b, through M^(x)N, and splits
+    into weight sectors that ``spectrum`` solves block by block.  It is used
+    only when its H has the hermiticity of H_b, so the solver and the
+    clustering radius are those of H_b; otherwise, and when f is returned
+    unchanged, H_b is solved as it is.
+    """
+    h = hamiltonian(f, N)
+    g = graded_congruence(f)
+    if g is not f:
+        graded = hamiltonian(g, N)
+        if graded.is_hermitian() == h.is_hermitian():
+            h = graded
+    return spectrum(h)
 
 
 @dataclass(frozen=True)
@@ -263,7 +287,8 @@ def check_isotypic(report: SpectrumReport, table: DecompositionTable, tau: compl
     module goes to the nearest cluster, and a[cluster, k] counts those from
     W_k.  NoConsistentAssignment is raised unless every module eigenvalue
     lies within the clustering radius cluster_tol * (1 + |lambda|) of its
-    cluster and every cluster multiplicity equals sum_k a p_k exactly.
+    cluster, with cluster_tol fixed by the report's hermiticity, and every
+    cluster multiplicity equals sum_k a p_k exactly.
     """
     if (report.n, report.N) != (table.n, table.N):
         raise ValueError("spectrum and table describe different (n, N)")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 
@@ -175,8 +176,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
 
 def _cmd_spectrum(args) -> tuple[dict, int]:
     f = _build_bform(args)
-    h = chain_mod.hamiltonian(f, args.N)
-    rep = chain_mod.spectrum(h)
+    rep = chain_mod.chain_spectrum(f, args.N)
     table = rep_ring.decomposition_table(f.n, args.N)
     body: dict = {"tables": {"spectrum": rep.to_dict(), "decomposition": table.to_dict()}}
     if args.raw:
@@ -350,7 +350,13 @@ def main(argv=None) -> int:
     except (TLSpinError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 2
-    _emit(body, args, code)
+    try:
+        _emit(body, args, code)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: the command's verdict stands, and stdout
+        # points at devnull so the flush at exit raises nothing more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -250,6 +250,46 @@ class TestGaugeTransform:
                 count += 1
 
 
+def _haar(rng, n):
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+class TestGradedCongruence:
+    def test_graded_and_symmetric_b_are_returned_as_they_are(self, tmp_path, kls, xxz):
+        from tlspin.bform import b_matrix_to_obj
+
+        # a generalized permutation from a file, and a real symmetric b, whose cosquare is I
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps(b_matrix_to_obj(t.make_bform([[0, 2, 0], [0.5j, 0, 0], [0, 0, -1.5]]))))
+        a = np.random.default_rng(3).normal(size=(3, 3))
+        for f in (kls, xxz, t.builtin_bform("kls", 1.5 + 0.5j), t.load_bform(path), t.make_bform(a + a.T)):
+            assert t.graded_congruence(f) is f
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_dense_b_becomes_a_generalized_permutation(self, random_bform, seed):
+        f = random_bform(300 + seed, 2 + seed % 3)
+        g = t.graded_congruence(f)
+        assert (np.count_nonzero(g.b, axis=0) == 1).all() and (np.count_nonzero(g.b, axis=1) == 1).all()
+        assert np.array_equal(g.b_inv != 0, g.b.T != 0)
+        assert np.max(np.abs(g.b @ g.b_inv - np.eye(f.n))) <= 1e-15
+        assert (g.tau, g.q, g.n) == (f.tau, f.q, f.n)
+        assert abs(np.trace(g.b.T @ g.b_inv) - f.tau) <= 1e-12 * (1 + abs(f.tau))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_dropped_entries_on_a_gauge_of_kls_are_rounding(self, seed):
+        # the benchmark's input: kls p=2 under M = U diag(1, 1.5, 2) V with Haar U, V
+        rng = np.random.default_rng(seed)
+        f = t.gauge_transform(t.builtin_bform("kls", 2), _haar(rng, 3) @ np.diag([1.0, 1.5, 2.0]) @ _haar(rng, 3))
+        g = t.graded_congruence(f)
+        assert g is not f
+        _, v = np.linalg.eig(np.linalg.solve(f.b.T, f.b))
+        full = v.T @ f.b @ v
+        assert np.array_equal(g.b, np.where(g.b != 0, full, 0))
+        assert np.max(np.abs(full[g.b == 0])) <= 1e-13 * np.max(np.abs(full))
+
+
 class TestFileFormat:
     def test_round_trip(self, tmp_path, kls):
         from tlspin.bform import b_matrix_to_obj

@@ -7,13 +7,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import tlspin as t
 from tlspin.chain import (
     CLUSTER_TOL_GENERAL,
+    CLUSTER_TOL_HERMITIAN,
     Cluster,
     SpectrumReport,
     _cluster_eigenvalues,
@@ -358,7 +359,6 @@ class TestIsotypic:
             clusters=(Cluster(0.0 + 0j, 2), Cluster(1.0 + 0j, 7)),
             total=9,
             hermitian=True,
-            cluster_tol=1e-8,
         )
         with pytest.raises(t.NoConsistentAssignment):
             t.check_isotypic(fake, t.decomposition_table(3, 2), 5.25)
@@ -378,7 +378,7 @@ class TestIsotypic:
         rep = t.spectrum(t.hamiltonian(kls, 3))
         zero, *rest = rep.clusters
         split = (Cluster(zero.value, 11), Cluster(zero.value + 1e-3, 10), *rest)
-        bad = SpectrumReport(n=3, N=3, clusters=split, total=27, hermitian=True, cluster_tol=rep.cluster_tol)
+        bad = SpectrumReport(n=3, N=3, clusters=split, total=27, hermitian=True)
         with pytest.raises(t.NoConsistentAssignment):
             t.check_isotypic(bad, t.decomposition_table(3, 3), kls.tau)
 
@@ -388,9 +388,22 @@ class TestIsotypic:
         radius = rep.cluster_tol * (1 + abs(rep.clusters[1].value))
         moved = list(rep.clusters)
         moved[1] = Cluster(moved[1].value + 2 * radius, moved[1].multiplicity)
-        bad = SpectrumReport(n=3, N=3, clusters=tuple(moved), total=27, hermitian=True, cluster_tol=rep.cluster_tol)
+        bad = SpectrumReport(n=3, N=3, clusters=tuple(moved), total=27, hermitian=True)
         with pytest.raises(t.NoConsistentAssignment):
             t.check_isotypic(bad, t.decomposition_table(3, 3), kls.tau)
+
+    def test_radius_follows_hermiticity(self, kls):
+        # all 81 states of kls p=2 N=4 as one cluster: the caller sets no radius
+        # that could take in every module eigenvalue
+        rep = t.spectrum(t.hamiltonian(kls, 4))
+        merged = (Cluster(complex(np.mean(rep.eigenvalues)), 81),)
+        with pytest.raises(TypeError):
+            SpectrumReport(n=3, N=4, clusters=merged, total=81, hermitian=True, cluster_tol=1e3)
+        for hermitian, radius in ((True, CLUSTER_TOL_HERMITIAN), (False, CLUSTER_TOL_GENERAL)):
+            bad = SpectrumReport(n=3, N=4, clusters=merged, total=81, hermitian=hermitian)
+            assert bad.cluster_tol == bad.to_dict()["cluster_tol"] == radius
+            with pytest.raises(t.NoConsistentAssignment):
+                t.check_isotypic(bad, t.decomposition_table(3, 4), kls.tau)
 
 
 class TestStandardModules:
@@ -482,7 +495,7 @@ def test_gauge_keeps_cluster_multiplicities(p, seed, N):
     ref = replace(
         herm,
         clusters=tuple(_cluster_eigenvalues(np.array(herm.eigenvalues), CLUSTER_TOL_GENERAL)),
-        cluster_tol=CLUSTER_TOL_GENERAL,
+        hermitian=False,
     )
     rep = t.spectrum(t.hamiltonian(g, N))
     assert not rep.hermitian and rep.cluster_tol == CLUSTER_TOL_GENERAL
@@ -493,3 +506,87 @@ def test_gauge_keeps_cluster_multiplicities(p, seed, N):
     want = dict(zip((c.value for c in ref.clusters), t.check_isotypic(ref, table, f.tau).per_cluster))
     for value, combo in want.items():
         assert got[min(got, key=lambda v: abs(v - value))] == combo
+
+
+def _dense_b(kind, seed, n, param):
+    """A dense b: random real or complex (n x n), or a complex gauge M b M^t of kls (p) or xxz (q).
+
+    A random b has condition number at most 50, and M has 2, so the
+    whole-matrix solve of the non-normal H_b, the reference here, stays
+    accurate.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "kls":
+        f = t.builtin_bform("kls", param)
+        return t.gauge_transform(f, _haar(rng, 3) @ np.diag([1.0, 1.5, 2.0]) @ _haar(rng, 3))
+    if kind == "xxz":
+        f = t.builtin_bform("xxz", param)
+        return t.gauge_transform(f, _haar(rng, 2) @ np.diag([1.0, 2.0]) @ _haar(rng, 2))
+    b = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if kind == "complex" else 0)
+    if np.linalg.cond(b) > 50:
+        reject()
+    try:
+        return t.make_bform(b)
+    except (t.DegenerateParameter, t.SingularMatrix):
+        reject()
+
+
+def _isotypic(rep, f):
+    try:
+        return t.check_isotypic(rep, t.decomposition_table(f.n, rep.N), f.tau)
+    except t.NoConsistentAssignment:
+        return None
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["real", "complex", "kls", "xxz"]),
+    seed=st.integers(0, 2 ** 32 - 1),
+    n=st.integers(2, 4),
+    param=st.floats(1.2, 3.0),
+    sign=st.sampled_from([1.0, -1.0]),
+    N=st.integers(2, 6),
+)
+def test_chain_spectrum_matches_the_solve_of_h_b(kind, seed, n, param, sign, N):
+    # the graded congruence, where it is used, moves cluster values in their
+    # last digits only: the same clusters, radius and isotypic content
+    f = _dense_b(kind, seed, n, sign * param if kind == "xxz" else param)
+    N = min(N, {2: 6, 3: 5, 4: 4}[f.n])
+    rep = t.chain_spectrum(f, N)
+    ref = t.spectrum(t.hamiltonian(f, N))
+    fields = ("n", "N", "total", "hermitian", "cluster_tol")
+    assert [getattr(rep, name) for name in fields] == [getattr(ref, name) for name in fields]
+    assert len(rep.clusters) == len(ref.clusters)
+    got = np.array([c.value for c in rep.clusters])
+    want = np.array([c.value for c in ref.clusters])
+    gap = np.abs(got[:, None] - want[None, :])
+    rows, cols = linear_sum_assignment(gap)
+    assert np.all(gap[rows, cols] <= 1e-10 * (1 + np.abs(want[cols])))
+    assert [rep.clusters[i].multiplicity for i in rows] == [ref.clusters[j].multiplicity for j in cols]
+    got_iso, want_iso = _isotypic(rep, f), _isotypic(ref, f)
+    assert (got_iso is None) == (want_iso is None)
+    if want_iso is not None:
+        assert got_iso.per_k == want_iso.per_k
+        assert [got_iso.per_cluster[i] for i in rows] == [want_iso.per_cluster[j] for j in cols]
+
+
+class TestChainSpectrum:
+    def test_graded_families_solve_h_b_itself(self, kls, xxz):
+        # b with n nonzeros is its own graded form: the same report, bit for bit
+        for f, N in ((kls, 5), (xxz, 7), (t.builtin_bform("kls", 1.5 + 0.5j), 4)):
+            assert t.chain_spectrum(f, N) == t.spectrum(t.hamiltonian(f, N))
+
+    def test_dense_b_splits_into_weight_sectors(self):
+        # a gauge of kls p=2: H_b is one block; its graded form has the blocks of kls
+        f = _gauged_kls(5)
+        g = t.graded_congruence(f)
+        assert len(_blocks(t.hamiltonian(f, 5).matrix)) == 1
+        sectors = _blocks(t.hamiltonian(t.builtin_bform("kls", 2), 5).matrix)
+        assert len(_blocks(t.hamiltonian(g, 5).matrix)) == len(sectors)
+
+    def test_hermiticity_mismatch_falls_back_to_h_b(self, xxz):
+        # a complex gauge of xxz q=3: the graded form gives a Hermitian H, H_b is not
+        f = _dense_b("xxz", 0, 2, 3.0)
+        g = t.graded_congruence(f)
+        assert g is not f and t.hamiltonian(g, 5).is_hermitian()
+        assert t.chain_spectrum(f, 5) == t.spectrum(t.hamiltonian(f, 5))

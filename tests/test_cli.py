@@ -452,16 +452,34 @@ class TestOptions:
         assert (config["q"], config["u"], config["p"]) == ([3.0, 0.0], [2.0, 0.0], None)
 
 
+def _child_env() -> dict:
+    """The environment of a child that finds the package where this process found it, installed or not."""
+    src = str(Path(t.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
-        # the child finds the package where this process found it, installed or not
-        src = str(Path(t.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "tlspin", "decompose", "--n", "3", "--N", "2"],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": path},
+            env=_child_env(),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["exit"] == 0
+
+    def test_closed_stdout_keeps_the_exit_code(self):
+        # the reader is gone before the report is written (as with `| head -c 10`):
+        # no traceback, and the command's own code, not the 1 of a failed check
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tlspin", "verify", "--family", "kls", "--p", "2", "--N", "3"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=_child_env(),
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""
