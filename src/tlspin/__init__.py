@@ -42,7 +42,6 @@ from .qalg import (
     AuxOperatorMatrix,
     CasimirResult,
     casimir,
-    casimir_combination,
     casimir_grouplike,
     check_centralizer,
     check_coassociativity,
@@ -74,7 +73,6 @@ from .rmatrix import (
     constant_R_inverse,
     projectors,
     spectral_R,
-    spectral_weight,
 )
 from .tl_rep import ChainOp, LocalOp, check_tl_relations, embed, local_X
 
@@ -97,7 +95,6 @@ __all__ = [
     "constant_R_inverse",
     "projectors",
     "spectral_R",
-    "spectral_weight",
     "check_braid",
     "check_spectral_ybe",
     "check_tl_cubic",
@@ -108,7 +105,6 @@ __all__ = [
     "coproduct_T",
     "check_centralizer",
     "casimir",
-    "casimir_combination",
     "casimir_grouplike",
     "CasimirResult",
     "check_rll",

@@ -328,7 +328,11 @@ def casimir_grouplike(f: BForm) -> tuple[CasimirResult, CasimirResult, ResidualR
     The Casimir is group-like: its value on the two-site tower T(2) must be
     c2^2 within PRODUCT_TOL (1e-8).  The report holds the one-site checks
     followed by ``casimir_grouplike`` and, for the kls family,
-    ``casimir_combination``; every one-site row reads one contraction.
+    ``casimir_combination``: entry (1, 1) of the one-site contraction equals
+    q I within the same threshold.  b^{-1}[1, j] is nonzero only at j = 3
+    and b only on the antidiagonal, so that entry is the combination
+    p (A3 A1 / p + C2 B1 + p C3 B3) of the GENERATOR_GRID blocks, p = b[1, 3].
+    Every one-site row reads one contraction.
     """
     grid = _casimir_grid(f, coproduct_T(f, 1))
     cas = _scalar_casimir(f, grid)
@@ -336,28 +340,9 @@ def casimir_grouplike(f: BForm) -> tuple[CasimirResult, CasimirResult, ResidualR
     report = ResidualReport(list(cas.report.checks))
     report.add("casimir_grouplike", scaled(abs(cas2.c2 - cas.c2 ** 2), abs(cas.c2 ** 2)), PRODUCT_TOL)
     if f.family == "kls":
-        report.extend(_combination(f, grid))
+        comb, target = grid[0, 0], f.q * np.eye(3)
+        report.add("casimir_combination", rel_residual(comb - target, [comb, target]), PRODUCT_TOL)
     return cas, cas2, report
-
-
-def casimir_combination(f: BForm) -> ResidualReport:
-    """Entry (1, 1) of the one-site contraction equals q I, within PRODUCT_TOL (1e-8).
-
-    For the kls family, b^{-1}[1, j] is nonzero only at j = 3 and b only on
-    the antidiagonal, so the entry is the combination
-    p (A3 A1 / p + C2 B1 + p C3 B3) of the GENERATOR_GRID blocks, p = b[1, 3].
-    """
-    return _combination(f, _casimir_grid(f, coproduct_T(f, 1)))
-
-
-def _combination(f: BForm, grid: np.ndarray) -> ResidualReport:
-    """The ``casimir_combination`` row of a one-site contraction ``grid``."""
-    if f.family != "kls":
-        raise UnsupportedDimension("the explicit combination is specific to the kls family")
-    comb, target = grid[0, 0], f.q * np.eye(3)
-    report = ResidualReport()
-    report.add("casimir_combination", rel_residual(comb - target, [comb, target]), PRODUCT_TOL)
-    return report
 
 
 def check_rll(f: BForm) -> ResidualReport:

@@ -12,9 +12,10 @@ projector, read only once the projector is verified idempotent.
 The symmetrizer is a polynomial in the Temperley-Lieb generators, so it is
 exactly block diagonal on the connected components of the union of their
 patterns: off the blocks each of its entries is a sum of exact zeros.  Its
-recursion runs on those blocks alone, one level of sites at a time, and
-each block splits its last factor by the last site, which keeps a dense b
-(one block, the whole space) at the cost of one local action.
+recursion is Wenzl's, with scalar coefficients only, and runs on those
+blocks alone, one level of sites at a time; the rank-one X enters each
+block through the m - 2 sites it does not act on, so a dense b (one
+block, the whole space) costs d^3 / n^2 a level.
 """
 
 from __future__ import annotations
@@ -30,16 +31,15 @@ from .bform import BForm
 from .errors import NormalizationFailure, SizeBudgetExceeded
 from .linalg import (
     DENSE_SIZE_BUDGET,
+    GLOBAL_TOL,
     PRODUCT_TOL,
     _blocks,
     check_size_budget,
-    max_abs,
     numerical_rank,
     rel_residual,
-    scaled,
 )
 from .reports import ResidualReport
-from .rmatrix import projectors, spectral_R
+from .rmatrix import projectors
 from .tl_rep import ChainOp, embed, local_X
 
 # Catalan numbers above this N are outside the artifact's integer budget.
@@ -239,37 +239,45 @@ def _blocks_by_level(f: BForm, N: int) -> Iterator[list[np.ndarray]]:
 def symmetrizer(f: BForm, N: int) -> SymmetrizerResult:
     """Projector onto the top isotypic component of N sites.
 
-    Recursion: starting from I - P_minus on two sites, multiply on the last
-    bond by the Baxterized matrix at u = q^(m-1) and renormalize by
-    lambda = tr(M^2)/tr(M) (the exact proportionality constant when M is a
-    scalar multiple of a projector), for m = 3 .. N sites.  Both factors act
-    locally: R(u) on the last two column indices, and the previous projector
-    on all but the last, so no chain-sized Kronecker product is multiplied.
+    Wenzl's recursion for the Jones-Wenzl idempotent: from f_2 = P_plus on
+    two sites, for m = 3 .. N sites,
 
-    Only the diagonal blocks are computed.  Every factor, P_plus on bond 1,
-    R(u) = w(uq) I + w(u) X on the last bond and the previous projector
-    (x) I, lies in the algebra of X_1 ... X_{m-1}, so each level is zero off
-    the connected components of the union of their patterns: exactly, not
-    up to rounding, since every product of such factors only adds terms
-    that are exact zeros.  In a block B the last factor splits by the value
-    s of the last site, raw[B, B_s] = half[B, B_s] @ cur[B_s // n, B_s // n],
-    at a cost of |B| sum_s |B_s|^2; a dense b is one block, and the split
-    keeps it at d^3 / n a level, the cost of one local action.  lambda, the
-    idempotence residual, the trace and the CSR projector are all taken
-    from the blocks, and each equals its dense value, since P and P^2 both
-    vanish off the blocks.
+        f_m = (f_{m-1} (x) I) - (Delta_{m-2} / Delta_{m-1}) (f_{m-1} (x) I) X_{m-1} (f_{m-1} (x) I),
 
-    n^N must lie within DENSE_SIZE_BUDGET.  NormalizationFailure is raised
-    when a level has vanishing trace, when the result misses idempotence by
-    more than PRODUCT_TOL (1e-8), since its rank is read off its trace only
-    once it is a projector, and when that trace is not an integer.  Whether
-    the rank equals p_N(n) is the ``symmetrizer_rank`` row.
+    with Delta_0 = 1, Delta_1 = tau and Delta_{k+1} = tau Delta_k - Delta_{k-1}
+    (Delta_k = +-[k+1]_q).  X = vec(b) vec(b^{-1})^t has rank one, so the
+    product term is u @ v: u = (f_{m-1} (x) I)(I (x) vec b), of size
+    n^m x n^(m-2), is one matmul with b, and v = (I (x) vec(b^{-1})^t)
+    (f_{m-1} (x) I) one with b^{-1}; no chain-sized Kronecker product is
+    formed.
+
+    Only the diagonal blocks are computed: f_{m-1} (x) I and X_{m-1} lie in
+    the algebra of X_1 ... X_{m-1}, so each level is zero off the connected
+    components of the union of their patterns, exactly, since every product
+    of such factors only adds exact zeros there.  A block B takes u @ v on
+    its rows and columns through the sites 1 .. m-2 of its indices, at a
+    cost of |B|^2 n^(m-2) at most; a dense b is one block, at d^3 / n^2 a
+    level.  The idempotence residual, the trace and the CSR projector are
+    taken from the blocks, and each equals its dense value.
+
+    n^N must lie within DENSE_SIZE_BUDGET.  NormalizationFailure is raised,
+    before any level is built, when some Delta_{m-1} with m <= N vanishes
+    (q a root of unity, reachable only through ``allow_unimodular_q``);
+    when the result misses idempotence by more than PRODUCT_TOL (1e-8),
+    since its rank is read off its trace only once it is a projector; and
+    when that trace is not an integer.  Whether the rank equals p_N(n) is
+    the ``symmetrizer_rank`` row.
     """
     n = f.n
     if N < 2:
         raise ValueError("symmetrizer tower starts at N = 2")
     check_size_budget(n ** N, DENSE_SIZE_BUDGET, "symmetrizer")
     p_plus, _ = projectors(f)
+    delta = [1, f.tau]
+    for m in range(3, N + 1):
+        delta.append(f.tau * delta[-1] - delta[-2])
+        if abs(delta[-1]) <= GLOBAL_TOL * (abs(f.tau * delta[-2]) + abs(delta[-3])):
+            raise NormalizationFailure(f"Delta_{m - 1} vanishes at q = {f.q:.6g}: no symmetrizer at {m} sites")
     levels = _blocks_by_level(f, N)
     parts = [(idx, p_plus.mat[idx[:, :, None], idx[:, None, :]]) for idx in next(levels)]
     for m, blocks in zip(range(3, N + 1), levels):
@@ -277,30 +285,20 @@ def symmetrizer(f: BForm, N: int) -> SymmetrizerResult:
         cur = np.zeros((d // n, d // n), dtype=parts[0][1].dtype)
         for idx, stack in parts:
             cur[idx[:, :, None], idx[:, None, :]] = stack
-        # half = (cur (x) I)(I (x) R(u)) with axes [i', j'', t, a, s] for the row
-        # (i', t) and the column (j'', a, s): R(u) joins the last site a' of cur's
-        # column to the row's last site t; row_at and col_at are the offsets
-        half = (cur.reshape(-1, n) @ spectral_R(f, f.q ** (m - 1)).mat.reshape(n, n ** 3)).ravel()
-        i = np.arange(d)
-        row_at, col_at = i // n * d * n + i % n * n * n, i // (n * n) * n ** 3 + i % (n * n)
-        raws = []
+        # u[(i, t), j] = sum_c cur[i, (j, c)] b[c, t] and v[j, (k, s)] = sum_c cur[(j, c), k] b_inv[c, s]
+        u = (f.b.T @ cur.reshape(d // n, d // n ** 2, n).transpose(0, 2, 1)).reshape(d, -1)
+        v = (cur.reshape(d // n ** 2, n, d // n).transpose(0, 2, 1) @ f.b_inv).reshape(-1, d)
+        parts = []
         for idx in blocks:
-            raw = np.empty(idx.shape + idx.shape[1:], dtype=half.dtype)
-            rows, prev = row_at[idx][:, :, None], idx // n
+            sites = np.unique(idx // n ** 2)
+            raw = u[idx[:, :, None], sites] @ v[sites[:, None], idx[:, None, :]]
+            raw *= -delta[m - 2] / delta[m - 1]
             counts = np.bincount(idx[0] % n, minlength=n)
             for lo, hi in zip(np.cumsum(counts) - counts, np.cumsum(counts)):
-                # half @ (cur (x) I) on the columns lo:hi, those of one last site
-                c = slice(lo, hi)
-                raw[:, :, c] = half[rows + col_at[idx[:, None, c]]] @ cur[prev[:, c, None], prev[:, None, c]]
-            raws.append((idx, raw))
-        trace = sum(np.trace(raw, axis1=1, axis2=2).sum() for _, raw in raws)
-        if scaled(abs(trace), max_abs([raw for _, raw in raws]) * d) <= 1e-12:
-            raise NormalizationFailure(f"symmetrizer at {m} sites has vanishing trace")
-        # tr(raw @ raw) without the product
-        lam = sum(np.einsum("kij,kji->", raw, raw) for _, raw in raws) / trace
-        for _, raw in raws:
-            raw /= lam
-        parts = raws
+                # cur (x) I on the run of one last site
+                raw[:, lo:hi, lo:hi] += cur[idx[:, lo:hi, None] // n, idx[:, None, lo:hi] // n]
+            parts.append((idx, raw))
+    cur = u = v = None  # the last level's dense factors go before the checks
     stacks = [p for _, p in parts]
     idem = rel_residual([p @ p - p for p in stacks], stacks)
     if idem > PRODUCT_TOL:

@@ -21,7 +21,7 @@ from .reports import ResidualReport
 from .tl_rep import LocalOp, embed, local_X
 
 
-def spectral_weight(z: complex) -> complex:
+def _spectral_weight(z: complex) -> complex:
     """The Baxterization weight w(z) = z - 1/z."""
     if z == 0:
         raise ZeroSpectralParameter("weight undefined at z = 0")
@@ -65,7 +65,7 @@ def _spectral_point(f: BForm, u: complex) -> tuple:
     u = _real_if_exact(complex(u))
     if u == 0:
         raise ZeroSpectralParameter("spectral parameter u must be nonzero")
-    return u, spectral_weight(u * f.q), spectral_weight(u)
+    return u, _spectral_weight(u * f.q), _spectral_weight(u)
 
 
 def _on_three_sites(f: BForm, weights: list) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -149,7 +149,7 @@ def check_antisymmetrizer(f: BForm) -> ResidualReport:
 
 def check_unitarity(f: BForm, u: complex) -> ResidualReport:
     """Regression guard: R(u) R(1/u) against its closed scalar form, within GLOBAL_TOL (1e-10)."""
-    w = spectral_weight
+    w = _spectral_weight
     q = f.q
     x = local_X(f).mat
     eye = np.eye(f.n ** 2)

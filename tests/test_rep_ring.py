@@ -1,5 +1,6 @@
 """Integer representation-ring identities and their numerical shadows."""
 
+import functools
 import math
 
 import numpy as np
@@ -334,19 +335,56 @@ def test_blocks_match_dense_reference(f, N):
 
 def gauged_xxz():
     """xxz q = -1.39 under M b M^t, M the first seed-9 normal draw with condition number at most 50 (31)."""
+    return t.gauge_transform(t.builtin_bform("xxz", -1.39), _gauge_xxz())
+
+
+def _gauge_xxz():
     rng = np.random.default_rng(9)
     m = rng.normal(size=(2, 2))
     while np.linalg.cond(m) > 50:
         m = rng.normal(size=(2, 2))
-    return t.gauge_transform(t.builtin_bform("xxz", -1.39), m)
+    return m
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=t.NormalizationFailure,
-    reason="FOUND in CHANGES.md: the gauged symmetrizer loses idempotence as N grows, "
-    "residual 2.7e-7 at N = 5 and 1.0e-4 at N = 6 against PRODUCT_TOL",
+@pytest.mark.parametrize("N", [3, 4])
+def test_gauged_symmetrizer_is_the_gauged_projector(N):
+    # M b M^t gives X -> G X G^-1 with G = M^(x)N, so the projector is G P G^-1 exactly
+    g = functools.reduce(np.kron, [_gauge_xxz()] * N)
+    exact = g @ t.symmetrizer(t.builtin_bform("xxz", -1.39), N).projector.to_dense() @ np.linalg.inv(g)
+    got = t.symmetrizer(gauged_xxz(), N).projector.to_dense()
+    assert np.max(np.abs(got - exact)) <= 1e-10 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize(
+    "N",
+    [
+        5,
+        pytest.param(
+            6,
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=t.NormalizationFailure,
+                reason="FOUND in CHANGES.md: the gauged symmetrizer loses idempotence as N grows, "
+                "residual 3.0e-8 at N = 6 against PRODUCT_TOL (8.1e-9 at N = 5)",
+            ),
+        ),
+    ],
 )
-@pytest.mark.parametrize("N", [5, 6])
 def test_gauged_symmetrizer_stays_idempotent(N):
     t.symmetrizer(gauged_xxz(), N)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_root_of_unity_fails_before_any_level(k, monkeypatch):
+    # Delta_{k-1} = +-[k]_q vanishes at q = e^(i pi / k): the recursion exists below k sites only
+    f = t.builtin_bform("xxz", np.exp(1j * np.pi / k), allow_unimodular_q=True)
+    for N in range(2, k):
+        assert t.symmetrizer(f, N).rank == t.dims_p(2, N)[N]
+
+    def no_levels(*args):
+        raise AssertionError("a level was built")
+
+    monkeypatch.setattr(rep_ring, "_blocks_by_level", no_levels)
+    for N in range(k, k + 3):
+        with pytest.raises(t.NormalizationFailure, match="vanishes"):
+            t.symmetrizer(f, N)
