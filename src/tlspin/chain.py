@@ -28,9 +28,9 @@ weights off one diagonal of base-n digit sums.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .bform import BForm, graded_congruence
 from .errors import ConvergenceFailure, NoConsistentAssignment, UnsupportedDimension
@@ -46,6 +46,9 @@ from .reports import ResidualReport, complex_to_pair
 from .rep_ring import DecompositionTable
 from .rmatrix import constant_R
 from .tl_rep import ChainOp, embed, local_X
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 CLUSTER_TOL_HERMITIAN = 1e-8
 CLUSTER_TOL_GENERAL = 1e-6
@@ -120,6 +123,7 @@ def _cluster_eigenvalues(values: np.ndarray, tol: float) -> list[Cluster]:
     one run.  Members keep the sorted order, and a cluster's value is their
     mean.
     """
+    import scipy.sparse as sp
     ordered = values[np.lexsort((values.imag, values.real))]
     radius = tol * (1 + np.abs(ordered))
     stop = np.searchsorted(ordered.real, ordered.real + np.max(radius, initial=0.0), side="right")
@@ -320,6 +324,7 @@ def check_weight_symmetry(f: BForm, N: int) -> ResidualReport:
     GLOBAL_TOL (1e-10).  Both weights are diagonal: a basis state's entry
     adds the site weights of its base-n digits.
     """
+    import scipy.sparse as sp
     if f.n != 3:
         raise UnsupportedDimension("the weight h = diag(1, 0, -1) is defined for n = 3")
     hm = hamiltonian(f, N).matrix

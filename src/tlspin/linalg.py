@@ -7,14 +7,20 @@ Arithmetic convention: ``_real_if_exact`` decides real or complex once, on
 b, b^{-1}, tau, q (``make_bform``) and u (``spectral_R``); every operator
 takes the result type of its inputs: float64 for kls and xxz with a real
 parameter and for a real file b, complex128 otherwise.
+Import convention: the functions that build sparse operators import
+scipy.sparse themselves, so ``import tlspin`` loads numpy only.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import SizeBudgetExceeded
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # Global working tolerance (epsilon) for identity residuals.
 GLOBAL_TOL = 1e-10
@@ -44,7 +50,7 @@ def max_abs(a) -> float:
     """Largest entry magnitude of a dense array or sparse matrix, or of every one in a list."""
     if isinstance(a, list):
         return max((max_abs(x) for x in a), default=0.0)
-    if sp.issparse(a):
+    if hasattr(a, "tocsr"):  # sparse, told apart without loading scipy
         data = a.tocsr().data  # no copy for CSR, which every caller passes
         return float(np.max(np.abs(data))) if data.size else 0.0
     arr = np.asarray(a)
@@ -118,6 +124,7 @@ def _blocks(matrix: sp.spmatrix) -> list[np.ndarray]:
     carries one root label, its smallest index, and the sets come in the
     order of that index.  A COO matrix is read as it is.
     """
+    import scipy.sparse as sp
     dim = matrix.shape[0]
     coo = matrix.tocoo()
     rows = np.concatenate([coo.row, coo.col, np.arange(dim)])

@@ -39,10 +39,9 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_hstack
 
 from .bform import BForm
 from .chain import hamiltonian
@@ -61,6 +60,9 @@ from .linalg import (
 from .reports import ResidualReport
 from .rmatrix import constant_R, projectors
 from .tl_rep import ChainOp, LocalOp, embed
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # Auxiliary-space block names, row-major over the 3 x 3 grid.
 GENERATOR_GRID = (("A1", "B1", "B3"), ("C1", "A2", "B2"), ("C3", "C2", "A3"))
@@ -170,9 +172,14 @@ def _csr(a: np.ndarray) -> sp.csr_matrix:
 
     Every tower entry fits int32 indices, which scipy also chooses there.
     """
-    rows, cols = np.nonzero(a)
-    indptr = np.searchsorted(rows, np.arange(a.shape[0] + 1))
-    return sp.csr_matrix((a[rows, cols], cols.astype(np.int32), indptr.astype(np.int32)), shape=a.shape)
+    import scipy.sparse as sp
+    mask = a != 0
+    indptr = np.zeros(a.shape[0] + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(mask, axis=1), out=indptr[1:])
+    # one flat index per entry, reduced in place to its column
+    cols = np.flatnonzero(mask)
+    cols %= a.shape[1]
+    return sp.csr_matrix((a[mask], cols.astype(np.int32), indptr), shape=a.shape)
 
 
 def _left_append(row: list, column: np.ndarray) -> sp.csr_matrix:
@@ -187,6 +194,8 @@ def _left_append(row: list, column: np.ndarray) -> sp.csr_matrix:
     indices and data straight into their slice of the output.  Exact zeros
     (cancellation or underflow) are dropped.
     """
+    import scipy.sparse as sp
+    from scipy.sparse._sparsetools import csr_hstack
     n = column.shape[0]
     d = row[0].shape[0]
     dtype = np.result_type(column, row[0].dtype)
@@ -368,6 +377,7 @@ def check_coassociativity(f: BForm) -> ResidualReport:
 
     The right-hand side is the Kronecker sum sum_k T(2)[k, b] (x) L[a, k].
     """
+    import scipy.sparse as sp
     n = f.n
     t3 = coproduct_T(f, 3)
     t2 = coproduct_T(f, 2)

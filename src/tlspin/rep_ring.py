@@ -25,7 +25,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .bform import BForm
 from .errors import NormalizationFailure, SizeBudgetExceeded
@@ -220,6 +219,7 @@ def _blocks_by_level(f: BForm, N: int) -> Iterator[list[np.ndarray]]:
     then ascending; blocks that hold equally many indices of each last site
     share one array.
     """
+    import scipy.sparse as sp
     n = f.n
     x = local_X(f)
     for m in range(2, N + 1):
@@ -268,6 +268,7 @@ def symmetrizer(f: BForm, N: int) -> SymmetrizerResult:
     when that trace is not an integer.  Whether the rank equals p_N(n) is
     the ``symmetrizer_rank`` row.
     """
+    import scipy.sparse as sp
     n = f.n
     if N < 2:
         raise ValueError("symmetrizer tower starts at N = 2")

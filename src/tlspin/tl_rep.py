@@ -11,9 +11,9 @@ chain, and dense placements are its ``to_dense()``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .bform import BForm
 from .linalg import (
@@ -26,6 +26,9 @@ from .linalg import (
     require_finite,
 )
 from .reports import ResidualReport
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -86,6 +89,7 @@ def embed(op: LocalOp, j: int, N: int) -> ChainOp:
     Returns I^(x)(j-1) (x) op (x) I^(x)(N-j-1) in CSR form, within
     SPARSE_SIZE_BUDGET; stored nonzeros equal nnz(op) * n^(N-2).
     """
+    import scipy.sparse as sp
     n = op.n
     if N < 2:
         raise ValueError("embedding needs N >= 2")

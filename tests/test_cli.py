@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 import time
 from pathlib import Path
 
@@ -483,3 +484,27 @@ class TestEntryPoint:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 0
         assert err == b""
+
+    def test_scipy_sparse_loads_on_the_first_chain_sized_call(self):
+        # a fresh interpreter: the import, the integer commands, rmatrix and a
+        # BForm need numpy only; verify loads scipy.sparse, and every layer
+        # module is loaded from the start
+        code = textwrap.dedent("""
+            import contextlib, io, sys
+            import tlspin
+            from tlspin import cli
+            tlspin.builtin_bform("kls", 2)
+            commands = (["poincare", "--n", "3", "--K", "8"], ["decompose", "--n", "3", "--N", "4"],
+                        ["rmatrix", "--family", "xxz", "--q", "3"])
+            for argv in commands:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.main(argv) == 0, argv
+            assert "scipy.sparse" not in sys.modules
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["verify", "--family", "kls", "--p", "2", "--N", "3"]) == 0
+            assert "scipy.sparse" in sys.modules
+            layers = ("cli", "bform", "tl_rep", "rmatrix", "qalg", "chain", "rep_ring", "linalg")
+            assert all(f"tlspin.{layer}" in sys.modules for layer in layers)
+        """)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
+        assert proc.returncode == 0, proc.stderr
