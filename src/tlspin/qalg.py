@@ -19,14 +19,21 @@ sum_k T(m-1)[k, b] (x) L[a, k] (check_coassociativity compares the two).
 Entry (a, b) is then the n x n block matrix whose block (x, y) is
 sum_k L[k, b][x, y] * T(m-1)[a, k], in the dtype of L.  When the bound on
 the tower's nonzeros fills every entry (as it does when every block of L
-is full, for a dense b), each level is one dense contraction and the
-centralizer check multiplies the dense entries by the sparse R_k and H.
+is full, for a dense b), each level is one dense contraction.
 Otherwise (the graded kls and xxz towers) each level is written as
 canonical CSR by one call of scipy's compiled CSR hstack kernel per block
 row: no Kronecker product and no index gather is formed.  Row a of T(m)
 reads only row a of T(m-1), so the tower is built one auxiliary row at a
 time, and coproduct_T converts each dense row of a full tower's last level
 to CSR before the next is contracted.
+
+The centralizer check meets every R_k = q I + X_k as X_k, and H = sum_k X_k
+as the sum of the bond commutators.  It contracts a full tower, and any
+tower of at most DENSE_CENTRALIZER_DIM states, densely, and applies X_k
+to a dense entry through its rank one, X = vec(b) vec(b^{-1})^t: one
+contraction of two sites of t with a vector and one outer product on
+each side, with no chain-sized X_k, R_k or H.  Larger graded towers take
+CSR SpGEMMs with the embedded X_k.
 
 The Casimir is the contraction C[a, b] = sum_{jkl} b^{-1}[a, j] T[j, k] b[k, l] T[b, l]
 over the auxiliary space, one block product of the grid's block matrix
@@ -44,7 +51,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .bform import BForm
-from .chain import hamiltonian
 from .errors import ConventionMismatch, SizeBudgetExceeded, UnsupportedDimension
 from .linalg import (
     GLOBAL_TOL,
@@ -59,13 +65,17 @@ from .linalg import (
 )
 from .reports import ResidualReport
 from .rmatrix import constant_R, projectors
-from .tl_rep import ChainOp, LocalOp, embed
+from .tl_rep import ChainOp, LocalOp, embed, local_X
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
 # Auxiliary-space block names, row-major over the 3 x 3 grid.
 GENERATOR_GRID = (("A1", "B1", "B3"), ("C1", "A2", "B2"), ("C3", "C2", "A3"))
+
+# Largest n^N at which check_centralizer contracts a graded tower densely:
+# below it, scipy's cost per call outweighs the arithmetic of a dense entry.
+DENSE_CENTRALIZER_DIM = 128
 
 
 @dataclass(frozen=True)
@@ -132,7 +142,7 @@ def coproduct_T(f: BForm, N: int) -> AuxOperatorMatrix:
     return AuxOperatorMatrix(n_a=f.n, N=N, entries=entries)
 
 
-def _tower(f: BForm, N: int) -> Iterator[np.ndarray | list]:
+def _tower(f: BForm, N: int, dense: bool = False) -> Iterator[np.ndarray | list]:
     """The rows of T(N), one at a time: (n, n^N, n^N) arrays when the tower is full, else lists of n canonical CSR.
 
     The bound S(m) = min(S(m-1) S(1), n^(2m)) on the nonzeros of each entry,
@@ -140,7 +150,7 @@ def _tower(f: BForm, N: int) -> Iterator[np.ndarray | list]:
     allocated: T(N) is full when S(N) fills every entry, as for a dense b.
     Row a of T(m) reads only row a of T(m-1), so each row is carried up the
     levels on its own, by one dense contraction a level when the tower is
-    full and otherwise by ``_left_append``.
+    full or ``dense`` is set, and otherwise by ``_left_append``.
     """
     n = f.n
     if N < 1:
@@ -153,7 +163,7 @@ def _tower(f: BForm, N: int) -> Iterator[np.ndarray | list]:
         bound = np.minimum(bound @ counts, n ** (2 * m))
     if bound.sum() > TOWER_NNZ_BUDGET:
         raise SizeBudgetExceeded(f"coproduct_T: up to {bound.sum()} nonzeros exceed budget {TOWER_NNZ_BUDGET}")
-    full = (bound == n ** (2 * N)).all()
+    full = dense or (bound == n ** (2 * N)).all()
     for a in range(n):
         row = blocks[a] if full else [_csr(blocks[a, b]) for b in range(n)]
         for _ in range(2, N + 1):
@@ -259,27 +269,88 @@ def check_centralizer(f: BForm, N: int) -> ResidualReport:
 
     Reports one relative residual per (k, a, b) triple plus one per (a, b)
     for the Hamiltonian, each against PRODUCT_TOL (1e-8); all must vanish
-    for the tower to centralize the braid generators.  R_k and H are CSR;
-    the entries of a full tower are dense, so its commutators are sparse x
-    dense products, and those of a graded tower are SpGEMMs.
+    for the tower to centralize the braid generators.  R_k = q I + X_k and
+    q I commutes with t, so [R_k, t] is taken as [X_k, t], and [H, t] as
+    the running sum of the bond commutators (H = sum_k X_k); the scales are
+    still max_abs(R_k) and max_abs(H) times the tower scale.  The entries
+    of a full tower, and of every tower of at most DENSE_CENTRALIZER_DIM
+    states, are contracted densely and meet X_k through its rank one
+    (``_x_commutator``); a larger graded tower takes CSR SpGEMMs with the
+    embedded X_k.  The tower is read one auxiliary row at a time, with one
+    commutator and one sum of them alive for its current entry.
     """
     if N < 2:
         raise ValueError("centralizer check needs N >= 2")
-    tower = list(_tower(f, N))
-    r = constant_R(f)
-    ops = [(f"R{k}", embed(r, k, N).matrix) for k in range(1, N)] + [("H", hamiltonian(f, N).matrix)]
-    report = ResidualReport()
+    n = f.n
+    xs = None  # the embedded X_k, placed only for a tower written as CSR
+    # largest entry of [X_k, t] for k = 1 .. N-1, then of [H, t]
+    comm_max = np.empty((N, n, n))
+    tower_scale = 0.0
+    for a, row in enumerate(_tower(f, N, dense=n ** N <= DENSE_CENTRALIZER_DIM)):
+        if isinstance(row, list) and xs is None:
+            xs = [embed(local_X(f), k, N).matrix for k in range(1, N)]
+        for b, t in enumerate(row):
+            tower_scale = max(tower_scale, max_abs(t))
+            total = None
+            for k in range(1, N):
+                comm = _x_commutator(f, t, k) if xs is None else xs[k - 1] @ t - t @ xs[k - 1]
+                comm_max[k - 1, a, b] = max_abs(comm)
+                if total is None:
+                    total = comm
+                else:
+                    total += comm  # in place for a dense entry
+            comm_max[N - 1, a, b] = max_abs(total)
+        del row, t, comm, total  # nothing of this row stays alive while the next is contracted
     # residuals are relative to the tower's global scale: an entry that is
     # structurally zero must not be divided by its own vanishing magnitude
-    tower_scale = max_abs([t for row in tower for t in row])
-    for name, op in ops:
-        scale = max_abs(op) * tower_scale
-        for a in range(f.n):
-            for b in range(f.n):
-                t = tower[a][b]
-                comm = op @ t - t @ op
-                report.add(f"centralizer_{name}_T[{a + 1},{b + 1}]", scaled(max_abs(comm), scale), PRODUCT_TOL)
+    scales = [max_abs(constant_R(f).mat) * tower_scale] * (N - 1) + [_hamiltonian_max_abs(f, N) * tower_scale]
+    report = ResidualReport()
+    for name, raw, scale in zip([f"R{k}" for k in range(1, N)] + ["H"], comm_max, scales):
+        for a in range(n):
+            for b in range(n):
+                report.add(f"centralizer_{name}_T[{a + 1},{b + 1}]", scaled(raw[a, b], scale), PRODUCT_TOL)
     return report
+
+
+def _x_commutator(f: BForm, t: np.ndarray, k: int) -> np.ndarray:
+    """[X_k, t] for a dense chain operator t, through the rank one of X = vec(b) vec(b^{-1})^t.
+
+    X_k t contracts the row sites (k, k+1) of t with vec(b^{-1}) and spreads
+    the result over them by vec(b); t X_k contracts its column sites with
+    vec(b) and spreads by vec(b^{-1}).  No chain-sized X_k is formed.
+    """
+    n, d = f.n, t.shape[0]
+    left = n ** (k - 1)
+    vec_b, vec_b_inv = f.b.ravel(), f.b_inv.ravel()
+    # t as (left, (x, y), (right, column)), and as ((row, left), (x, y), right)
+    xt = vec_b[:, None] * (vec_b_inv @ t.reshape(left, n * n, -1))[:, None, :]
+    tx = (vec_b @ t.reshape(d * left, n * n, -1))[:, None, :] * vec_b_inv[:, None]
+    comm = xt.reshape(d, d)
+    comm -= tx.reshape(d, d)
+    return comm
+
+
+def _hamiltonian_max_abs(f: BForm, N: int) -> float:
+    """max_abs of chain.hamiltonian(f, N), bit for bit, read off X with no chain-sized H.
+
+    An entry of H sums in bond order the X_k that reach it: every bond on
+    the diagonal; the bonds on both sides of the one site where row and
+    column differ, one of them alone at an end of the chain; and the one
+    bond on two adjacent differing sites.
+    """
+    n = f.n
+    x = local_X(f).mat
+    on = np.diagonal(x).reshape(n, n)
+    # bond k on sites (k, k+1) of an N-axis array; the leading axes broadcast
+    diagonal = sum(on.reshape((n, n) + (1,) * (N - 1 - k)) for k in range(1, N))
+    terms = [diagonal, x - np.diag(np.diagonal(x))]
+    if N > 2:
+        x4 = x.reshape(n, n, n, n)
+        # one interior site changed, s to t: its left bond, then its right
+        inner = np.einsum("csct->cst", x4)[..., None] + np.einsum("sete->ste", x4)
+        inner[:, range(n), range(n)] = 0
+        terms.append(inner)
+    return max_abs(terms)
 
 
 @dataclass(frozen=True)

@@ -311,11 +311,22 @@ def symmetrizer(f: BForm, N: int) -> SymmetrizerResult:
     report = ResidualReport()
     report.add("symmetrizer_idempotent", idem, PRODUCT_TOL)
     report.add("symmetrizer_rank", float(abs(rank - dims_p(n, N)[N])), 0.0)
-    # the blocks are disjoint, so each entry is stored once and the conversion only sorts
-    at_row = np.concatenate([np.broadcast_to(idx[:, :, None], p.shape).ravel() for idx, p in parts])
-    at_col = np.concatenate([np.broadcast_to(idx[:, None, :], p.shape).ravel() for idx, p in parts])
-    data = np.concatenate([p.ravel() for p in stacks])
-    matrix = sp.csr_matrix((data, (at_row, at_col)), shape=(n ** N, n ** N))
+    # each row lies in one block and holds that block's columns, so the CSR
+    # arrays are written from the blocks: an entry goes to its row's slice, at
+    # the rank of its column among the block's indices
+    dim = n ** N
+    indptr = np.zeros(dim + 1, dtype=np.int32)
+    for idx, _ in parts:
+        indptr[idx + 1] = idx.shape[1]
+    np.cumsum(indptr, out=indptr)
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1], dtype=stacks[0].dtype)
+    for idx, p in parts:
+        slot = np.argsort(np.argsort(idx, axis=1), axis=1).astype(np.int32)
+        at = indptr[idx][:, :, None] + slot[:, None, :]
+        indices[at] = idx[:, None, :]
+        data[at] = p
+    matrix = sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
     matrix.eliminate_zeros()
     projector = ChainOp(n=n, N=N, matrix=matrix, label=f"P+^{N}")
     return SymmetrizerResult(projector=projector, rank=rank, report=report)

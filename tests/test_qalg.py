@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import tlspin as t
 from tlspin import qalg
-from tlspin.linalg import flip_operator
+from tlspin.linalg import flip_operator, max_abs
 from tlspin.qalg import GENERATOR_GRID, _block, _left_append, l_matrix
 
 KLS_P2_Q = -(21 + math.sqrt(377)) / 8
@@ -574,6 +574,16 @@ class TestFullTower:
             assert_canonical(got)
 
 
+CENTRALIZER_MODELS = {
+    "gauged kls": lambda: gauged_kls(GAUGE),
+    "random n=4": lambda: dense_random_bform(611, 4),
+    "kls 2": lambda: t.builtin_bform("kls", 2),
+    "kls 1.5+0.5j": lambda: t.builtin_bform("kls", 1.5 + 0.5j),
+    "xxz 3": lambda: t.builtin_bform("xxz", 3),
+    "xxz 2+1j": lambda: t.builtin_bform("xxz", 2 + 1j),
+}
+
+
 class TestCentralizer:
     def test_kls_two_and_three_sites(self, kls):
         for N in (2, 3):
@@ -590,14 +600,18 @@ class TestCentralizer:
         # (N-1) braid generators x 9 entries + 9 Hamiltonian entries
         assert len(report.checks) == 2 * 9 + 9
 
-    @pytest.mark.parametrize("model, N", [("gauged kls", 3), ("gauged kls", 4), ("random n=4", 3)])
+    @pytest.mark.parametrize("model, N", [
+        ("gauged kls", 3), ("gauged kls", 4), ("random n=4", 3),
+        ("kls 2", 4), ("kls 2", 5), ("kls 1.5+0.5j", 4), ("kls 1.5+0.5j", 5),
+        ("xxz 3", 7), ("xxz 3", 8), ("xxz 2+1j", 7), ("xxz 2+1j", 8),
+    ])
     def test_dense_b_matches_spgemm_reference(self, model, N):
-        # full towers: dense entries times the sparse R_k and H, against the
-        # CSR writer's entries and one SpGEMM pair per entry
-        f = gauged_kls(GAUGE) if model == "gauged kls" else dense_random_bform(611, 4)
-        assert bound_fills(f, N)
+        # full towers, graded towers on both sides of DENSE_CENTRALIZER_DIM, and
+        # the R_k and H of the chain in one SpGEMM pair per entry of coproduct_T
+        f = CENTRALIZER_MODELS[model]()
+        assert bound_fills(f, N) == model.startswith(("gauged", "random"))
         report = t.check_centralizer(f, N)
-        tower = complex_stored_tower(f, N)
+        tower = [[op.matrix for op in row] for row in t.coproduct_T(f, N).entries]
         tower_scale = max(abs(m).max() for row in tower for m in row)
         ops = [(f"R{k}", t.embed(t.constant_R(f), k, N).matrix) for k in range(1, N)]
         ops.append(("H", t.hamiltonian(f, N).matrix))
@@ -612,6 +626,41 @@ class TestCentralizer:
         assert report.passed
         for check, (_, residual) in zip(report.checks, want):
             assert abs(check.residual - residual) <= 1e-15, check.name
+
+    @pytest.mark.parametrize("model, N", [("gauged kls", 5), ("kls 2", 4), ("kls 2", 5), ("xxz 2+1j", 8)])
+    def test_an_entry_that_does_not_commute_fails_its_rows(self, model, N, monkeypatch):
+        # full dense, small dense and CSR paths: the largest value of T[2,1] on a
+        # state that X_1 moves changes sign, so T[2,1] no longer commutes with X_1
+        f = CENTRALIZER_MODELS[model]()
+        moved = np.asarray(abs(t.embed(t.local_X(f), 1, N).matrix).sum(axis=0)).ravel() != 0
+        tower = qalg._tower
+
+        def broken(f, N, dense=False):
+            for a, row in enumerate(tower(f, N, dense)):
+                if a == 1:
+                    entry = row[0]
+                    if isinstance(entry, np.ndarray):
+                        values = entry.reshape(-1)
+                        on_moved = np.repeat(moved, entry.shape[1])
+                    else:
+                        values = entry.data
+                        on_moved = moved[np.repeat(np.arange(entry.shape[0]), np.diff(entry.indptr))]
+                    at = np.argmax(np.where(on_moved, abs(values), 0))
+                    assert values[at] != 0
+                    values[at] *= -1
+                yield row
+
+        monkeypatch.setattr(qalg, "_tower", broken)
+        report = t.check_centralizer(f, N)
+        failing = {c.name for c in report.checks if not c.passed}
+        assert {"centralizer_R1_T[2,1]", "centralizer_H_T[2,1]"} <= failing
+        assert all(name.endswith("_T[2,1]") for name in failing)
+
+    @pytest.mark.parametrize("model", list(CENTRALIZER_MODELS))
+    def test_hamiltonian_scale_is_the_chain_operators(self, model):
+        f = CENTRALIZER_MODELS[model]()
+        for N in range(2, 8 if f.n < 4 else 6):
+            assert qalg._hamiltonian_max_abs(f, N) == max_abs(t.hamiltonian(f, N).matrix), N
 
 
 def loop_casimir_grid(f, aux):

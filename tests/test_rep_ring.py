@@ -244,9 +244,9 @@ class TestSymmetrizer:
             want = sp.csr_matrix(got.toarray())
             assert got.has_canonical_format
             assert got.data.all(), (f.family, N)
-            assert np.array_equal(got.indptr, want.indptr), (f.family, N)
-            assert np.array_equal(got.indices, want.indices), (f.family, N)
-            assert np.array_equal(got.data, want.data), (f.family, N)
+            for name in ("indptr", "indices", "data"):
+                x, y = getattr(got, name), getattr(want, name)
+                assert x.dtype == y.dtype and np.array_equal(x, y), (f.family, N, name)
 
     def test_trace_rank_equals_numerical_rank(self, kls, xxz, random_bform):
         cases = [(kls, range(3, 6)), (xxz, range(3, 9)), (random_bform(300, 3), range(3, 5))]

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 import tlspin as t
+from tlspin.linalg import rel_residual
 from tlspin.rmatrix import constant_R
 
 
@@ -103,6 +104,41 @@ class TestEmbed:
         t.embed(x, 1, 9)  # 3^9 = 19683 fits
         with pytest.raises(t.SizeBudgetExceeded):
             t.embed(x, 1, 10)
+
+
+def chain_tl_relations(f, N):
+    """The rows of check_tl_relations from every relation evaluated on all N sites, by chain-sized SpGEMMs."""
+    x = t.local_X(f)
+    xs = {j: t.embed(x, j, N).matrix for j in range(1, N)}
+    rows = []
+    for j in range(1, N):
+        sq = xs[j] @ xs[j]
+        rows.append((f"tl_square_j{j}", rel_residual(sq + f.nu * xs[j], [sq, f.nu * xs[j]])))
+    for j in range(1, N):
+        for k in (j - 1, j + 1):
+            if 1 <= k <= N - 1:
+                triple = xs[j] @ xs[k] @ xs[j]
+                rows.append((f"tl_sandwich_j{j}_k{k}", rel_residual(triple - xs[j], [triple, xs[j]])))
+    for j in range(1, N):
+        for k in range(j + 2, N):
+            ab, ba = xs[j] @ xs[k], xs[k] @ xs[j]
+            rows.append((f"tl_commute_j{j}_k{k}", rel_residual(ab - ba, [ab, ba])))
+    return rows
+
+
+# random n = 4 stops at N = 6: its reference alone takes seconds at N = 7
+@pytest.mark.parametrize("model, largest_N", [
+    ("kls 2", 7), ("xxz 3", 7), ("xxz 2+1j", 7), ("random n=2", 7), ("random n=3", 7), ("random n=4", 6),
+])
+def test_local_relations_equal_the_chain_level_reference_bit_for_bit(model, largest_N, random_bform):
+    if model.startswith("random"):
+        f = random_bform(2900, int(model[-1]))
+    else:
+        family, param = model.split()
+        f = t.builtin_bform(family, complex(param) if "j" in param else float(param))
+    for N in range(3, largest_N + 1):
+        got = [(c.name, c.residual, c.threshold) for c in t.check_tl_relations(f, N).checks]
+        assert got == [(name, residual, 1e-10) for name, residual in chain_tl_relations(f, N)], N
 
 
 class TestDefiningRelations:
