@@ -149,6 +149,8 @@ def builtin_bform(family: str, param, *, allow_unimodular_q: bool = False) -> BF
     """
     if family == "kls":
         p = complex(param)
+        if not np.isfinite(p):
+            raise ValueError(f"kls family requires a finite p, got {p}")
         if p == 0:
             raise DegenerateParameter("kls family requires p != 0")
         b = np.fliplr(np.diag([p ** k for k in (1, 0, -1)]))

@@ -28,18 +28,18 @@ time, and coproduct_T converts each dense row of a full tower's last level
 to CSR before the next is contracted.
 
 The centralizer check meets every R_k = q I + X_k as X_k, and H = sum_k X_k
-as the sum of the bond commutators.  It contracts a full tower, and any
-tower of at most DENSE_CENTRALIZER_DIM states, densely, and applies X_k
-to a dense entry through its rank one, X = vec(b) vec(b^{-1})^t: one
+as the sum of the bond commutators; it places the bonds X_k once, as CSR,
+and takes the scale of H from their sum.  It contracts a full tower, and
+any tower of at most DENSE_CENTRALIZER_DIM states, densely, and applies
+X_k to a dense entry through its rank one, X = vec(b) vec(b^{-1})^t: one
 contraction of two sites of t with a vector and one outer product on
-each side, with no chain-sized X_k, R_k or H.  Larger graded towers take
-CSR SpGEMMs with the embedded X_k.
+each side.  Larger graded towers take CSR SpGEMMs with the placed X_k.
 
 The Casimir is the contraction C[a, b] = sum_{jkl} b^{-1}[a, j] T[j, k] b[k, l] T[b, l]
-over the auxiliary space, one block product of the grid's block matrix
-(``_casimir_grid``); it equals c2 delta_ab I, and c2 is group-like.
-``casimir_grouplike`` reads every one-site row off one contraction.  Every
-check, the highest-weight scan among them, returns its ResidualReport.
+over the auxiliary space, one block product of a dense grid, L's own blocks
+or the densified T(2) (``_casimir_grid``); it equals c2 delta_ab I, and c2
+is group-like.  ``casimir_grouplike`` reads every one-site row off one
+contraction.  Every check returns its ResidualReport.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ from .linalg import (
     check_size_budget,
     flip_operator,
     max_abs,
+    numerical_rank,
     rel_residual,
     scaled,
 )
@@ -272,28 +273,27 @@ def check_centralizer(f: BForm, N: int) -> ResidualReport:
     for the tower to centralize the braid generators.  R_k = q I + X_k and
     q I commutes with t, so [R_k, t] is taken as [X_k, t], and [H, t] as
     the running sum of the bond commutators (H = sum_k X_k); the scales are
-    still max_abs(R_k) and max_abs(H) times the tower scale.  The entries
-    of a full tower, and of every tower of at most DENSE_CENTRALIZER_DIM
-    states, are contracted densely and meet X_k through its rank one
-    (``_x_commutator``); a larger graded tower takes CSR SpGEMMs with the
-    embedded X_k.  The tower is read one auxiliary row at a time, with one
-    commutator and one sum of them alive for its current entry.
+    max_abs(R_k) and max_abs(H) times the tower scale, H the sum of the
+    bonds X_k as ``chain.hamiltonian`` forms it.  The entries of a full
+    tower, and of every tower of at most DENSE_CENTRALIZER_DIM states, are
+    contracted densely and meet X_k through its rank one (``_x_commutator``);
+    a larger graded tower takes CSR SpGEMMs with the placed X_k.  The tower
+    is read one auxiliary row at a time, with one commutator and one sum of
+    them alive for its current entry.
     """
     if N < 2:
         raise ValueError("centralizer check needs N >= 2")
     n = f.n
-    xs = None  # the embedded X_k, placed only for a tower written as CSR
+    xs = [embed(local_X(f), k, N).matrix for k in range(1, N)]
     # largest entry of [X_k, t] for k = 1 .. N-1, then of [H, t]
     comm_max = np.empty((N, n, n))
     tower_scale = 0.0
     for a, row in enumerate(_tower(f, N, dense=n ** N <= DENSE_CENTRALIZER_DIM)):
-        if isinstance(row, list) and xs is None:
-            xs = [embed(local_X(f), k, N).matrix for k in range(1, N)]
         for b, t in enumerate(row):
             tower_scale = max(tower_scale, max_abs(t))
             total = None
-            for k in range(1, N):
-                comm = _x_commutator(f, t, k) if xs is None else xs[k - 1] @ t - t @ xs[k - 1]
+            for k, x in enumerate(xs, 1):
+                comm = _x_commutator(f, t, k) if isinstance(t, np.ndarray) else x @ t - t @ x
                 comm_max[k - 1, a, b] = max_abs(comm)
                 if total is None:
                     total = comm
@@ -303,7 +303,7 @@ def check_centralizer(f: BForm, N: int) -> ResidualReport:
         del row, t, comm, total  # nothing of this row stays alive while the next is contracted
     # residuals are relative to the tower's global scale: an entry that is
     # structurally zero must not be divided by its own vanishing magnitude
-    scales = [max_abs(constant_R(f).mat) * tower_scale] * (N - 1) + [_hamiltonian_max_abs(f, N) * tower_scale]
+    scales = [max_abs(constant_R(f).mat) * tower_scale] * (N - 1) + [max_abs(sum(xs[1:], xs[0])) * tower_scale]
     report = ResidualReport()
     for name, raw, scale in zip([f"R{k}" for k in range(1, N)] + ["H"], comm_max, scales):
         for a in range(n):
@@ -330,29 +330,6 @@ def _x_commutator(f: BForm, t: np.ndarray, k: int) -> np.ndarray:
     return comm
 
 
-def _hamiltonian_max_abs(f: BForm, N: int) -> float:
-    """max_abs of chain.hamiltonian(f, N), bit for bit, read off X with no chain-sized H.
-
-    An entry of H sums in bond order the X_k that reach it: every bond on
-    the diagonal; the bonds on both sides of the one site where row and
-    column differ, one of them alone at an end of the chain; and the one
-    bond on two adjacent differing sites.
-    """
-    n = f.n
-    x = local_X(f).mat
-    on = np.diagonal(x).reshape(n, n)
-    # bond k on sites (k, k+1) of an N-axis array; the leading axes broadcast
-    diagonal = sum(on.reshape((n, n) + (1,) * (N - 1 - k)) for k in range(1, N))
-    terms = [diagonal, x - np.diag(np.diagonal(x))]
-    if N > 2:
-        x4 = x.reshape(n, n, n, n)
-        # one interior site changed, s to t: its left bond, then its right
-        inner = np.einsum("csct->cst", x4)[..., None] + np.einsum("sete->ste", x4)
-        inner[:, range(n), range(n)] = 0
-        terms.append(inner)
-    return max_abs(terms)
-
-
 @dataclass(frozen=True)
 class CasimirResult:
     """Scalar central value extracted from the bilinear contraction of L."""
@@ -361,13 +338,12 @@ class CasimirResult:
     report: ResidualReport
 
 
-def _casimir_grid(f: BForm, aux: AuxOperatorMatrix) -> np.ndarray:
-    """C[a, b] = sum_{j,k,l} b_inv[a, j] aux[j, k] b[k, l] aux[b, l], as one block product.
+def _casimir_grid(f: BForm, g: np.ndarray) -> np.ndarray:
+    """C[a, b] = sum_{jkl} b_inv[a, j] g[j, k] b[k, l] g[b, l] for a dense (n, n, dim, dim) grid g, one block product.
 
     With G the block matrix of the grid and G^bt its block transpose (block
-    (l, b) is aux[b, l], not transposed), C = (b^{-1} (x) I) G (b (x) I) G^bt.
+    (l, b) is g[b, l], not transposed), C = (b^{-1} (x) I) G (b (x) I) G^bt.
     """
-    g = np.array([[op.to_dense() for op in row] for row in aux.entries])
     n, _, dim, _ = g.shape
     blocks = g.transpose(0, 2, 1, 3).reshape(n * dim, n * dim)
     blocks_bt = g.transpose(1, 2, 0, 3).reshape(n * dim, n * dim)
@@ -393,13 +369,14 @@ def _scalar_casimir(f: BForm, grid: np.ndarray) -> CasimirResult:
 def casimir(f: BForm, *, aux: AuxOperatorMatrix | None = None) -> CasimirResult:
     """Fit the scalar c2 of the Casimir contraction of the grid ``aux``.
 
-    ``aux`` defaults to the one-site tower coproduct_T(f, 1), the block grid
-    of L.  The contraction (``_casimir_grid``) must equal c2 delta_ab I: the
-    relative misfit must be within PRODUCT_TOL (1e-8), or ConventionMismatch
-    is raised with it.  For the kls family the one-site c2 also equals q,
-    asserted in the report against the same threshold.
+    ``aux`` defaults to the one-site tower, contracted as L's own blocks; a
+    grid that is passed is densified.  The contraction (``_casimir_grid``)
+    must equal c2 delta_ab I: the relative misfit must be within PRODUCT_TOL
+    (1e-8), or ConventionMismatch is raised with it.  For the kls family the
+    one-site c2 also equals q, asserted in the report against the same threshold.
     """
-    return _scalar_casimir(f, _casimir_grid(f, aux if aux is not None else coproduct_T(f, 1)))
+    g = _l_blocks(f) if aux is None else np.array([[op.to_dense() for op in row] for row in aux.entries])
+    return _scalar_casimir(f, _casimir_grid(f, g))
 
 
 def casimir_grouplike(f: BForm) -> tuple[CasimirResult, CasimirResult, ResidualReport]:
@@ -414,7 +391,7 @@ def casimir_grouplike(f: BForm) -> tuple[CasimirResult, CasimirResult, ResidualR
     p (A3 A1 / p + C2 B1 + p C3 B3) of the GENERATOR_GRID blocks, p = b[1, 3].
     Every one-site row reads one contraction.
     """
-    grid = _casimir_grid(f, coproduct_T(f, 1))
+    grid = _casimir_grid(f, _l_blocks(f))
     cas = _scalar_casimir(f, grid)
     cas2 = casimir(f, aux=coproduct_T(f, 2))
     report = ResidualReport(list(cas.report.checks))
@@ -491,8 +468,6 @@ def highest_weight_scan(f: BForm) -> ResidualReport:
     # unit vectors: the lowered vectors grow like p^k, and rank is scale-free
     vectors = [tt] + powers[0][1:] + powers[1][1:]
     stack = np.array([scaled(v, np.linalg.norm(v)) for v in vectors])
-    svals = np.linalg.svd(stack, compute_uv=False)
-    orbit_rank = int(np.sum(svals > 1e-10 * svals[0]))
 
     # the double-lowered vectors absorb the mixed lowering direction
     basis = np.array([powers[0][2], powers[1][2]]).T
@@ -508,7 +483,7 @@ def highest_weight_scan(f: BForm) -> ResidualReport:
     eig_res = float(scaled(max_abs(r @ bvec - (-1 / f.q) * bvec), np.linalg.norm(bvec)))
 
     report = ResidualReport()
-    report.add("orbit_rank_8", float(abs(orbit_rank - 8)), 0.0)
+    report.add("orbit_rank_8", float(abs(numerical_rank(stack) - 8)), 0.0)
     report.add("b3_in_double_lowering_span", b3_residual, PRODUCT_TOL)
     report.add("lowering_terminates_on_e3e3", terminal, PRODUCT_TOL)
     report.add("invariant_line_eigenvalue", eig_res, GLOBAL_TOL)

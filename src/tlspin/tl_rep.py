@@ -16,10 +16,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .bform import BForm
+from .errors import SizeBudgetExceeded
 from .linalg import (
     DENSE_SIZE_BUDGET,
     GLOBAL_TOL,
     SPARSE_SIZE_BUDGET,
+    TOWER_NNZ_BUDGET,
     check_size_budget,
     max_abs,
     rel_residual,
@@ -117,7 +119,9 @@ def check_tl_relations(f: BForm, N: int) -> ResidualReport:
     square on two, the sandwiches on three and the commutator on four.  On
     N sites each product is that local one placed by ``embed`` with identity
     factors around it, its entries summed over the same terms in the same
-    order, so the residual is the same for every j, bit for bit.
+    order, so the residual is the same for every j, bit for bit.  Each
+    four-site product is X (x) X, with nnz(X)^2 stored entries, which must
+    lie within TOWER_NNZ_BUDGET.
     """
     if N < 3:
         raise ValueError("the sandwich relation needs N >= 3")
@@ -132,6 +136,9 @@ def check_tl_relations(f: BForm, N: int) -> ResidualReport:
         triple = xs[j] @ xs[k] @ xs[j]
         sandwich[k - j] = rel_residual(triple - xs[j], [triple, xs[j]])
     if N > 3:
+        nnz = np.count_nonzero(x.mat) ** 2
+        if nnz > TOWER_NNZ_BUDGET:
+            raise SizeBudgetExceeded(f"check_tl_relations: X_1 X_3 needs {nnz} nonzeros, budget {TOWER_NNZ_BUDGET}")
         x1, x3 = (embed(x, j, 4).matrix for j in (1, 3))
         ab, ba = x1 @ x3, x3 @ x1
         commute = rel_residual(ab - ba, [ab, ba])

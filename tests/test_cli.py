@@ -84,6 +84,20 @@ class TestVerify:
         payload = json.loads(err)
         assert payload["error"] == "DegenerateParameter"
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--family", "kls", "--p", "inf"),
+        ("verify", "--family", "kls", "--p", "infj"),
+        ("rmatrix", "--family", "kls", "--p", "inf"),
+    ])
+    def test_non_finite_kls_parameter_is_config_error(self, capsys, argv):
+        # p ** k would overflow in b; p is refused before b is built
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert payload["message"].startswith("kls family requires a finite p")
+
     def test_missing_parameter_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--family", "kls")
         assert code == 2

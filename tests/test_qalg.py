@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import tlspin as t
 from tlspin import qalg
-from tlspin.linalg import flip_operator, max_abs
+from tlspin.linalg import flip_operator, max_abs, scaled
 from tlspin.qalg import GENERATOR_GRID, _block, _left_append, l_matrix
 
 KLS_P2_Q = -(21 + math.sqrt(377)) / 8
@@ -657,10 +657,21 @@ class TestCentralizer:
         assert all(name.endswith("_T[2,1]") for name in failing)
 
     @pytest.mark.parametrize("model", list(CENTRALIZER_MODELS))
-    def test_hamiltonian_scale_is_the_chain_operators(self, model):
+    def test_hamiltonian_scale_is_the_chain_operators(self, model, monkeypatch):
+        # full dense, small dense and CSR paths: each H row is its raw commutator
+        # scaled by max_abs of chain.hamiltonian times the tower scale, bit for bit
         f = CENTRALIZER_MODELS[model]()
-        for N in range(2, 8 if f.n < 4 else 6):
-            assert qalg._hamiltonian_max_abs(f, N) == max_abs(t.hamiltonian(f, N).matrix), N
+        largest_N = {"gauged kls": 5, "random n=4": 4}.get(model, 6 if f.n == 3 else 8)
+        raw = []
+        monkeypatch.setattr(qalg, "scaled", lambda num, scale: raw.append(num) or scaled(num, scale))
+        for N in range(2, largest_N + 1):
+            raw.clear()
+            rows = t.check_centralizer(f, N).checks[-f.n ** 2:]
+            tower_scale = max(max_abs(op.matrix) for row in t.coproduct_T(f, N).entries for op in row)
+            scale = max_abs(t.hamiltonian(f, N).matrix) * tower_scale
+            names = [f"centralizer_H_T[{a + 1},{b + 1}]" for a in range(f.n) for b in range(f.n)]
+            want = [(name, scaled(x, scale)) for name, x in zip(names, raw[-f.n ** 2:])]
+            assert [(c.name, c.residual) for c in rows] == want, N
 
 
 def loop_casimir_grid(f, aux):
@@ -706,7 +717,7 @@ class TestCasimir:
         f = CASIMIR_MODELS[model]()
         aux = t.coproduct_T(f, N)
         ref, largest_term = loop_casimir_grid(f, aux)
-        grid = qalg._casimir_grid(f, aux)
+        grid = qalg._casimir_grid(f, np.array([[aux.dense_entry(a, b) for b in range(f.n)] for a in range(f.n)]))
         assert grid.shape == ref.shape
         # relative to the summands: the sum cancels down to c2 I (by about 600x
         # for the gauged kls at T(3)), so both sides round at the summands' scale
@@ -721,7 +732,7 @@ class TestCasimir:
         assert f.b[0, 2] == p
         g = t.generator_blocks(f)
         hand = p * ((1 / p) * g["A3"] @ g["A1"] + g["C2"] @ g["B1"] + p * g["C3"] @ g["B3"])
-        entry = qalg._casimir_grid(f, t.coproduct_T(f, 1))[0, 0]
+        entry = qalg._casimir_grid(f, qalg._l_blocks(f))[0, 0]
         assert np.max(np.abs(entry - hand)) <= 1e-13 * np.max(np.abs(hand))
         row = combination_row(f)
         assert row.passed and row.residual <= 1e-13
@@ -736,6 +747,14 @@ class TestCasimir:
         _, _, report = t.casimir_grouplike(t.builtin_bform("kls", 20))
         assert report.passed
 
+    @pytest.mark.parametrize("model", [*CASIMIR_MODELS, "random n=3"])
+    def test_one_site_contraction_is_the_one_site_tower(self, model):
+        # casimir(f) contracts L's own blocks; the CSR tower T(1) densifies to them
+        f = dense_random_bform(613, 3) if model == "random n=3" else CASIMIR_MODELS[model]()
+        got, want = t.casimir(f), t.casimir(f, aux=t.coproduct_T(f, 1))
+        assert got.c2 == want.c2
+        assert got.report.checks == want.report.checks
+
     def test_kls_scalar_is_q(self, kls):
         res = t.casimir(kls)
         assert abs(res.c2 - kls.q) <= 1e-8 * abs(kls.q)
@@ -748,9 +767,9 @@ class TestCasimir:
         # the one-site rows, casimir_combination among them, share one contraction
         towers = []
         contract = qalg._casimir_grid
-        monkeypatch.setattr(qalg, "_casimir_grid", lambda f, aux: towers.append(aux.N) or contract(f, aux))
+        monkeypatch.setattr(qalg, "_casimir_grid", lambda f, g: towers.append(g.shape[2]) or contract(f, g))
         _, _, report = t.casimir_grouplike(kls)
-        assert towers == [1, 2]
+        assert towers == [3, 9]
         names = ["casimir_scalar", "casimir_value_q", "casimir_grouplike", "casimir_combination"]
         assert [c.name for c in report.checks] == names
         assert report.checks[0] == t.casimir(kls).report.checks[0]

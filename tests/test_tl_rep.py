@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 import tlspin as t
+from tlspin import tl_rep
 from tlspin.linalg import rel_residual
 from tlspin.rmatrix import constant_R
 
@@ -162,6 +163,26 @@ class TestDefiningRelations:
         for seed in range(20):
             f = random_bform(1000 + seed, 4)
             assert t.check_tl_relations(f, 3).max_residual <= 1e-10
+
+    @pytest.mark.parametrize("model", ["kls 2", "xxz 2+1j", "random n=4"])
+    def test_four_site_products_within_the_nonzero_budget(self, model, random_bform, monkeypatch):
+        # X_1 X_3 is X (x) X on four sites, with nnz(X)^2 stored entries: over
+        # the budget the call raises before any four-site placement
+        if model.startswith("random"):
+            f = random_bform(2900, 4)
+        else:
+            family, param = model.split()
+            f = t.builtin_bform(family, complex(param) if "j" in param else float(param))
+        nnz = np.count_nonzero(t.local_X(f).mat) ** 2
+        embed, sites = tl_rep.embed, []
+        monkeypatch.setattr(tl_rep, "embed", lambda op, j, N: sites.append(N) or embed(op, j, N))
+        monkeypatch.setattr(tl_rep, "TOWER_NNZ_BUDGET", nnz - 1)
+        with pytest.raises(t.SizeBudgetExceeded, match=f"{nnz} nonzeros"):
+            t.check_tl_relations(f, 5)
+        assert 4 not in sites
+        monkeypatch.setattr(tl_rep, "TOWER_NNZ_BUDGET", nnz)
+        got = [(c.name, c.residual, c.threshold) for c in t.check_tl_relations(f, 5).checks]
+        assert got == [(name, residual, 1e-10) for name, residual in chain_tl_relations(f, 5)]
 
     def test_needs_three_sites(self, kls):
         with pytest.raises(ValueError):
