@@ -27,7 +27,6 @@ from .chain import (
     spectrum,
 )
 from .errors import (
-    ConventionMismatch,
     ConvergenceFailure,
     DegenerateParameter,
     NoConsistentAssignment,
@@ -135,7 +134,6 @@ __all__ = [
     "SizeBudgetExceeded",
     "ZeroSpectralParameter",
     "UnsupportedDimension",
-    "ConventionMismatch",
     "NoConsistentAssignment",
     "NormalizationFailure",
     "ConvergenceFailure",

@@ -1,7 +1,9 @@
 """Command-line front end: builds the model from flags and emits reports.
 
-Exit codes: 0 all checks passed, 1 at least one check failed (or a
-verification-type error such as a non-scalar Casimir contraction),
+Each subcommand returns its tables and its report; ``main`` alone writes
+the report's rows and reads the exit code off it.  Exit codes: 0 all checks
+passed, 1 at least one check failed (or no verdict exists: an eigensolver
+that does not converge, a symmetrizer recursion whose Delta vanishes),
 2 usage or configuration errors.  Reports are JSON on stdout by default
 ("schema": 2); errors are JSON on stderr.
 """
@@ -20,17 +22,11 @@ import numpy as np
 from . import chain as chain_mod
 from . import qalg, rep_ring, rmatrix
 from .bform import BForm, builtin_bform, load_bform
-from .errors import (
-    ConventionMismatch,
-    ConvergenceFailure,
-    NoConsistentAssignment,
-    NormalizationFailure,
-    TLSpinError,
-)
+from .errors import ConvergenceFailure, NoConsistentAssignment, NormalizationFailure, TLSpinError
 from .reports import REPORT_SCHEMA_VERSION, ResidualReport, complex_to_pair, matrix_to_pairs
 from .tl_rep import check_tl_relations
 
-_CHECK_FAILURE_ERRORS = (NormalizationFailure, ConventionMismatch, ConvergenceFailure)
+_NO_VERDICT_ERRORS = (NormalizationFailure, ConvergenceFailure)
 
 
 def parse_complex(text: str) -> complex:
@@ -165,16 +161,14 @@ def run_verify_suite(f: BForm, N: int, seed: int) -> ResidualReport:
     return report
 
 
-def _cmd_verify(args) -> tuple[dict, int]:
+def _cmd_verify(args) -> tuple[dict, ResidualReport]:
     f = _build_bform(args)
     start = time.perf_counter()
     report = run_verify_suite(f, args.N, args.seed)
-    wall_time_ms = (time.perf_counter() - start) * 1000.0
-    code = 0 if report.passed else 1
-    return {"checks": [c.to_dict() for c in report.checks], "wall_time_ms": wall_time_ms}, code
+    return {"wall_time_ms": (time.perf_counter() - start) * 1000.0}, report
 
 
-def _cmd_spectrum(args) -> tuple[dict, int]:
+def _cmd_spectrum(args) -> tuple[dict, ResidualReport]:
     f = _build_bform(args)
     rep = chain_mod.chain_spectrum(f, args.N)
     table = rep_ring.decomposition_table(f.n, args.N)
@@ -188,81 +182,51 @@ def _cmd_spectrum(args) -> tuple[dict, int]:
         checks.add("isotypic_assignment", 0.0, 0.0)
     except NoConsistentAssignment:
         checks.add("isotypic_assignment", 1.0, 0.0)
-    body["checks"] = [c.to_dict() for c in checks.checks]
-    return body, 0 if checks.passed else 1
+    return body, checks
 
 
-def _cmd_decompose(args) -> tuple[dict, int]:
+def _cmd_decompose(args) -> tuple[dict, ResidualReport]:
     table = rep_ring.decomposition_table(args.n, args.N)
     checks = ResidualReport()
     checks.add("sum_pk_nuk", float(abs(table.checks["sum_pk_nuk"] - args.n ** args.N)), 0.0)
     checks.add("catalan_check", float(abs(table.checks["catalan_check"] - rep_ring.catalan(args.N))), 0.0)
-    body = {"tables": {"decomposition": table.to_dict()}, "checks": [c.to_dict() for c in checks.checks]}
-    return body, 0 if checks.passed else 1
+    return {"tables": {"decomposition": table.to_dict()}}, checks
 
 
-def _cmd_rmatrix(args) -> tuple[dict, int]:
+def _cmd_rmatrix(args) -> tuple[dict, ResidualReport]:
     f = _build_bform(args)
     if args.u is not None:
         op = rmatrix.spectral_R(f, args.u)
     else:
         op = rmatrix.constant_R(f)
-    body = {
-        "tables": {
-            "matrix": {
-                "label": op.label,
-                "n": f.n,
-                "entries": matrix_to_pairs(op.mat),
-            }
-        },
-        "checks": [],
-    }
-    return body, 0
+    table = {"label": op.label, "n": f.n, "entries": matrix_to_pairs(op.mat)}
+    return {"tables": {"matrix": table}}, ResidualReport()
 
 
-def _cmd_casimir(args) -> tuple[dict, int]:
+def _cmd_casimir(args) -> tuple[dict, ResidualReport]:
     f = _build_bform(args)
     cas, cas2, report = qalg.casimir_grouplike(f)
-    body = {
-        "tables": {
-            "casimir": {
-                "c2": complex_to_pair(cas.c2),
-                "ordering": "direct",
-                "c2_two_sites": complex_to_pair(cas2.c2),
-            }
-        },
-        "checks": [c.to_dict() for c in report.checks],
-    }
-    return body, 0 if report.passed else 1
+    table = {"c2": complex_to_pair(cas.c2), "ordering": "direct", "c2_two_sites": complex_to_pair(cas2.c2)}
+    return {"tables": {"casimir": table}}, report
 
 
-def _cmd_centralizer(args) -> tuple[dict, int]:
-    f = _build_bform(args)
-    report = qalg.check_centralizer(f, args.N)
-    return {"checks": [c.to_dict() for c in report.checks]}, 0 if report.passed else 1
+def _cmd_centralizer(args) -> tuple[dict, ResidualReport]:
+    return {}, qalg.check_centralizer(_build_bform(args), args.N)
 
 
-def _cmd_poincare(args) -> tuple[dict, int]:
+def _cmd_poincare(args) -> tuple[dict, ResidualReport]:
     coeffs = rep_ring.poincare_series(args.n, args.K)
     dims = rep_ring.dims_p(args.n, args.K)
     checks = ResidualReport()
     checks.add("series_matches_dims", float(coeffs != dims), 0.0)
-    body = {
-        "tables": {"poincare": {"n": args.n, "K": args.K, "coefficients": coeffs, "dims_p": dims}},
-        "checks": [c.to_dict() for c in checks.checks],
-    }
-    return body, 0 if checks.passed else 1
+    return {"tables": {"poincare": {"n": args.n, "K": args.K, "coefficients": coeffs, "dims_p": dims}}}, checks
 
 
-def _cmd_symmetrizer(args) -> tuple[dict, int]:
+def _cmd_symmetrizer(args) -> tuple[dict, ResidualReport]:
     f = _build_bform(args)
     sym = rep_ring.symmetrizer(f, args.N)
     expected = rep_ring.dims_p(f.n, args.N)[args.N]
-    body = {
-        "tables": {"symmetrizer": {"rank": sym.rank, "expected_rank": expected, "N": args.N}},
-        "checks": [c.to_dict() for c in sym.report.checks],
-    }
-    return body, 0 if sym.report.passed else 1
+    return {"tables": {"symmetrizer": {"rank": sym.rank, "expected_rank": expected, "N": args.N}}}, sym.report
 
 
 _COMMANDS = {
@@ -282,7 +246,6 @@ def _emit(body: dict, args, code: int) -> None:
     if fmt == "json":
         payload = {"schema": REPORT_SCHEMA_VERSION, "config": _config_echo(args)}
         payload.update(body)
-        payload.setdefault("checks", [])
         payload["exit"] = code
         print(json.dumps(payload, indent=2, sort_keys=True))
         return
@@ -343,13 +306,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        body, code = _COMMANDS[args.command](args)
-    except _CHECK_FAILURE_ERRORS as exc:
+        body, report = _COMMANDS[args.command](args)
+    except _NO_VERDICT_ERRORS as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 1
     except (TLSpinError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 2
+    body["checks"] = [c.to_dict() for c in report.checks]
+    code = 0 if report.passed else 1
     try:
         _emit(body, args, code)
         sys.stdout.flush()

@@ -25,16 +25,12 @@ class UnsupportedDimension(TLSpinError):
     """Operation requires a specific local dimension or family."""
 
 
-class ConventionMismatch(TLSpinError):
-    """The Casimir contraction is not a scalar within its threshold."""
-
-
 class NoConsistentAssignment(TLSpinError):
     """Spectrum clusters disagree with the eigenvalues of the Temperley-Lieb standard modules."""
 
 
 class NormalizationFailure(TLSpinError):
-    """Trace normalization of a projector candidate is ill-defined or wrong."""
+    """No symmetrizer exists: a coefficient Delta_{m-1} of its recursion vanishes (q a root of unity)."""
 
 
 class ConvergenceFailure(TLSpinError):

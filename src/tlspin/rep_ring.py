@@ -202,10 +202,11 @@ def quantum_plane_dims(f: BForm) -> dict:
 @dataclass(frozen=True)
 class SymmetrizerResult:
     """Top isotypic projector of N sites with its rank and the report rows
-    ``symmetrizer_idempotent`` and ``symmetrizer_rank``."""
+    ``symmetrizer_idempotent`` and ``symmetrizer_rank``; the rank is None
+    when the projector is not verified."""
 
     projector: ChainOp
-    rank: int
+    rank: int | None
     report: ResidualReport
 
 
@@ -261,12 +262,14 @@ def symmetrizer(f: BForm, N: int) -> SymmetrizerResult:
     taken from the blocks, and each equals its dense value.
 
     n^N must lie within DENSE_SIZE_BUDGET.  NormalizationFailure is raised,
-    before any level is built, when some Delta_{m-1} with m <= N vanishes
-    (q a root of unity, reachable only through ``allow_unimodular_q``);
-    when the result misses idempotence by more than PRODUCT_TOL (1e-8),
-    since its rank is read off its trace only once it is a projector; and
-    when that trace is not an integer.  Whether the rank equals p_N(n) is
-    the ``symmetrizer_rank`` row.
+    before any level is built, only when some Delta_{m-1} with m <= N
+    vanishes (q a root of unity, reachable only through
+    ``allow_unimodular_q``): no projector exists then.  The result's
+    idempotence residual is the ``symmetrizer_idempotent`` row, within
+    PRODUCT_TOL (1e-8).  Its rank is read off its trace only once it is a
+    projector, idempotent and with a trace within 1e-6 of an integer;
+    otherwise ``rank`` is None and the ``symmetrizer_rank`` row fails with
+    residual 1.  That row holds the rank to p_N(n) exactly.
     """
     import scipy.sparse as sp
     n = f.n
@@ -302,15 +305,13 @@ def symmetrizer(f: BForm, N: int) -> SymmetrizerResult:
     cur = u = v = None  # the last level's dense factors go before the checks
     stacks = [p for _, p in parts]
     idem = rel_residual([p @ p - p for p in stacks], stacks)
-    if idem > PRODUCT_TOL:
-        raise NormalizationFailure(f"normalized symmetrizer is not idempotent (residual {idem:.3e})")
     trace = sum(np.trace(p, axis1=1, axis2=2).sum() for p in stacks)
-    rank = int(round(trace.real))
-    if abs(trace - rank) > 1e-6:
-        raise NormalizationFailure(f"idempotent symmetrizer has non-integer trace {trace:.6g}")
+    nearest = np.round(trace.real)
+    # a rank is read only off a projector with an integer trace
+    rank = int(nearest) if idem <= PRODUCT_TOL and abs(trace - nearest) <= 1e-6 else None
     report = ResidualReport()
     report.add("symmetrizer_idempotent", idem, PRODUCT_TOL)
-    report.add("symmetrizer_rank", float(abs(rank - dims_p(n, N)[N])), 0.0)
+    report.add("symmetrizer_rank", 1.0 if rank is None else float(abs(rank - dims_p(n, N)[N])), 0.0)
     # each row lies in one block and holds that block's columns, so the CSR
     # arrays are written from the blocks: an entry goes to its row's slice, at
     # the rank of its column among the block's indices

@@ -508,6 +508,18 @@ def test_gauge_keeps_cluster_multiplicities(p, seed, N):
         assert got[min(got, key=lambda v: abs(v - value))] == combo
 
 
+@pytest.mark.parametrize("N, clusters", [(4, 6), (6, 19)])
+def test_unitary_gauge_is_hermitian_relative_to_its_scale(N, clusters):
+    # M b M^t with M unitary conjugates H by the unitary M^(x)N, so H stays
+    # Hermitian; at kls p=50 its entries reach 2e3 and H - H^H rounds to 1e-14
+    # of them.  Read as non-Hermitian, H took the general radius 1e-6, which
+    # merged its eigenvalues into 5 and 14 clusters
+    f = t.builtin_bform("kls", 50)
+    rep = t.spectrum(t.hamiltonian(t.gauge_transform(f, _haar(np.random.default_rng(0), 3)), N))
+    assert rep.hermitian
+    assert len(rep.clusters) == len(t.spectrum(t.hamiltonian(f, N)).clusters) == clusters
+
+
 def _dense_b(kind, seed, n, param):
     """A dense b: random real or complex (n x n), or a complex gauge M b M^t of kls (p) or xxz (q).
 

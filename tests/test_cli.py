@@ -9,10 +9,11 @@ import textwrap
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tlspin as t
-from tlspin import rep_ring
+from tlspin import chain, qalg, rep_ring, rmatrix, tl_rep
 from tlspin.bform import b_matrix_to_obj
 from tlspin.cli import build_parser, main, parse_complex
 
@@ -407,6 +408,104 @@ class TestThresholds:
 
 
 KLS = ("--family", "kls", "--p", "2")
+
+
+# The row families of `verify`, each a full-match name pattern.
+VERIFY_FAMILIES = {
+    "tl": r"tl_(square|sandwich)_j\d+(_k\d+)?",
+    "tl_commute": r"tl_commute_j\d+_k\d+",
+    "rmatrix": r"braid|spectral_ybe_\d+|cubic_.*|antisym_.*|spectral_unitarity",
+    "rll": r"rll",
+    "centralizer": r"centralizer_.*",
+    "casimir": r"casimir_.*",
+    "weight_symmetry": r"weight_symmetry_(local|global)",
+}
+
+
+def failing_families(checks):
+    return {f for c in checks if not c["pass"] for f, p in VERIFY_FAMILIES.items() if re.fullmatch(p, c["name"])}
+
+
+def verify_rows(capsys, source, N):
+    code, out, err = run_cli(capsys, "verify", *source, "--N", str(N))
+    assert err == ""
+    body = json.loads(out)
+    assert body["exit"] == code
+    for c in body["checks"]:
+        assert sum(bool(re.fullmatch(p, c["name"])) for p in VERIFY_FAMILIES.values()) == 1, c["name"]
+    return code, body["checks"]
+
+
+def x_with_b_inv_entry(at, delta):
+    """local_X with b^{-1}[at] moved by delta times the largest entry of b^{-1}, inside X only."""
+
+    def local_x(f):
+        b_inv = f.b_inv.copy()
+        index = np.unravel_index(np.argmax(abs(b_inv)), b_inv.shape) if at is None else at
+        b_inv[index] += delta * abs(b_inv).max()
+        return tl_rep.LocalOp(n=f.n, mat=np.outer(f.b.ravel(), b_inv.ravel()), label="X")
+
+    return local_x
+
+
+class TestEveryFailureIsARow:
+    """A named defect fails its row family, and `verify` still prints every row.
+
+    A flipped tower entry, which fails its centralizer rows alone, is
+    ``tests/test_qalg.py::TestCentralizer::test_an_entry_that_does_not_commute_fails_its_rows``.
+    ``tl_commute_j*_k*`` is the one family that no defect fails: each entry
+    of X_j X_k with |j - k| > 1 is a single product x y, and IEEE
+    multiplication commutes, so the row reads exactly 0 for every finite b.
+    """
+
+    @pytest.mark.parametrize("source", [KLS, ("--family", "xxz", "--q", "3")])
+    def test_a_perturbed_x_fails_every_family_that_reads_it(self, capsys, monkeypatch, source):
+        # X is no longer vec(b) vec(b^{-1})^t for the b the checks also read, and
+        # no longer a TL generator; the largest entry of b^{-1} keeps its place,
+        # so the weight grading of kls survives
+        _, rows = verify_rows(capsys, source, 4)
+        for module in (tl_rep, rmatrix, qalg, chain, rep_ring):
+            monkeypatch.setattr(module, "local_X", x_with_b_inv_entry(None, 1e-6))
+        code, broken = verify_rows(capsys, source, 4)
+        assert code == 1
+        assert [c["name"] for c in broken] == [c["name"] for c in rows]
+        assert failing_families(broken) == {"tl", "rmatrix", "rll", "centralizer", "casimir"}
+
+    def test_an_entry_off_the_grading_fails_the_weight_rows(self, capsys, monkeypatch):
+        # b^{-1}[1, 1] = 0 for kls: a nonzero value there gives X a column of
+        # weight 2, which the antidiagonal rows of weight 0 cannot balance
+        _, rows = verify_rows(capsys, KLS, 4)
+        for module in (tl_rep, rmatrix, qalg, chain, rep_ring):
+            monkeypatch.setattr(module, "local_X", x_with_b_inv_entry((0, 0), 1e-6))
+        code, broken = verify_rows(capsys, KLS, 4)
+        assert code == 1
+        assert [c["name"] for c in broken] == [c["name"] for c in rows]
+        assert "weight_symmetry" in failing_families(broken)
+        assert "tl_commute" not in failing_families(broken)
+
+    def test_large_p_fails_one_row_and_prints_the_rest(self, capsys):
+        # ROADMAP item 7: the float64 T(2) contraction misses c2^2 delta_ab I by 4.2e-8 at p = 20
+        code, rows = verify_rows(capsys, ("--family", "kls", "--p", "20"), 3)
+        _, reference = verify_rows(capsys, KLS, 3)
+        assert code == 1
+        assert [c["name"] for c in rows] == [c["name"] for c in reference]
+        assert [c["name"] for c in rows if not c["pass"]] == ["casimir_grouplike"]
+
+    def test_a_symmetrizer_that_misses_idempotence_prints_its_rows(self, capsys, tmp_path):
+        # xxz q = -1.39 under M b M^t, cond(M) = 31, read back from its file (which
+        # recomputes tau from b): idempotence misses by 8.5e-4 at N = 7
+        m = np.random.default_rng(9).normal(size=(2, 2))
+        path = tmp_path / "gauged.json"
+        path.write_text(json.dumps(b_matrix_to_obj(t.gauge_transform(t.builtin_bform("xxz", -1.39), m))))
+        code, out, err = run_cli(capsys, "symmetrizer", "--family", "file", "--b-file", str(path), "--N", "7")
+        body = json.loads(out)
+        assert (code, body["exit"], err) == (1, 1, "")
+        assert body["tables"]["symmetrizer"] == {"rank": None, "expected_rank": 8, "N": 7}
+        assert [(c["name"], c["pass"]) for c in body["checks"]] == [
+            ("symmetrizer_idempotent", False),
+            ("symmetrizer_rank", False),
+        ]
+
 
 # Options that no caller set, removed with the code that served them: a
 # construction tolerance, a clustering radius, an explicit Yang-Baxter point,
