@@ -18,7 +18,7 @@ from .bform import BForm
 from .errors import DegenerateParameter, ZeroSpectralParameter
 from .linalg import GLOBAL_TOL, PRODUCT_TOL, _real_if_exact, rel_residual
 from .reports import ResidualReport
-from .tl_rep import LocalOp, embed, local_X
+from .tl_rep import LocalOp, _embed_dense, local_X
 
 
 def _spectral_weight(z: complex) -> complex:
@@ -71,12 +71,12 @@ def _spectral_point(f: BForm, u: complex) -> tuple:
 def _on_three_sites(f: BForm, weights: list) -> list[tuple[np.ndarray, np.ndarray]]:
     """Dense (R12, R23) on three sites for each pair (c, c_X) of R = c I + c_X X.
 
-    X is placed once, at sites (1, 2) and (2, 3); each entry is the same
+    X is placed once, dense, at sites (1, 2) and (2, 3); each entry is the same
     float operation as in the placement of c I + c_X X, so the products are
     those of the placed two-site operators, bit for bit.
     """
     x = local_X(f)
-    x12, x23 = embed(x, 1, 3).to_dense(), embed(x, 2, 3).to_dense()
+    x12, x23 = _embed_dense(x, 1, 3), _embed_dense(x, 2, 3)
     eye = np.eye(f.n ** 3)
     return [(c * eye + c_x * x12, c * eye + c_x * x23) for c, c_x in weights]
 

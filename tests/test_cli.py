@@ -621,3 +621,19 @@ class TestEntryPoint:
         """)
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
         assert proc.returncode == 0, proc.stderr
+
+    def test_a_small_centralizer_loads_no_scipy(self):
+        # a fresh interpreter: a tower of at most DENSE_CENTRALIZER_DIM states is
+        # contracted densely, and its bonds, read only for the scale of H, are
+        # written dense, so neither command loads scipy.sparse
+        code = textwrap.dedent("""
+            import contextlib, io, sys
+            from tlspin import cli
+            for argv in (["centralizer", "--family", "kls", "--p", "2", "--N", "3"],
+                         ["centralizer", "--family", "xxz", "--q", "3", "--N", "6"]):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.main(argv) == 0, argv
+            assert "scipy.sparse" not in sys.modules
+        """)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
+        assert proc.returncode == 0, proc.stderr

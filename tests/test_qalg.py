@@ -494,6 +494,50 @@ class TestLeftAppend:
                 assert np.abs(got.toarray() - want[a][b]).max() <= 1e-12 * scale
 
 
+def random_csr(rng, dtype, density=0.3, dim=12):
+    """A random dim x dim canonical CSR matrix of the given dtype."""
+    dense = rng.normal(size=(dim, dim)) * (rng.random((dim, dim)) < density)
+    if dtype == complex:
+        dense = dense + 1j * rng.normal(size=dense.shape) * (dense != 0)
+    return sp.csr_matrix(dense)
+
+
+def pruned(arrays):
+    """Raw CSR arrays (indptr, indices, data) trimmed to their stored entries, as scipy prunes them."""
+    indptr, indices, data = arrays
+    return indptr, indices[:indptr[-1]], data[:indptr[-1]]
+
+
+@pytest.mark.parametrize("dtypes", [(float, float), (complex, complex), (float, complex)])
+def test_private_product_and_sum_kernels_match_scipy_operators(dtypes):
+    # every scipy.sparse._sparsetools kernel tlspin calls is private to scipy and
+    # loads with the first chain-sized call, not with tlspin: a scipy without
+    # one must fail here.  The raw products and sums match scipy's @, - and +
+    # byte for byte, on canonical operands and on unsorted SpGEMM outputs
+    from scipy.sparse._sparsetools import csr_hstack, csr_matmat, csr_matmat_maxnnz, csr_minus_csr, csr_plus_csr
+    from tlspin.tl_rep import _arrays, _csr_binop, _csr_product
+
+    assert all(map(callable, (csr_hstack, csr_matmat, csr_matmat_maxnnz, csr_minus_csr, csr_plus_csr)))
+    rng = np.random.default_rng(32)
+    unsorted = 0
+    for _ in range(6):
+        a, b = (random_csr(rng, dtype) for dtype in dtypes)
+        ab, ba = a @ b, b @ a
+        unsorted += not (ab.has_sorted_indices and ba.has_sorted_indices)
+        raw_ab, raw_ba = _csr_product(_arrays(a), _arrays(b)), _csr_product(_arrays(b), _arrays(a))
+        cases = [
+            (pruned(raw_ab), ab),
+            (pruned(_csr_binop("minus", raw_ab, raw_ba)), ab - ba),
+            (pruned(_csr_binop("plus", raw_ab, _arrays(a))), ab + a),
+            (pruned(_csr_binop("minus", _arrays(a), _arrays(a))), a - a),  # every entry cancels
+            (pruned(_csr_product(_arrays(a), _arrays(sp.csr_matrix(a.shape)))), a @ sp.csr_matrix(a.shape)),
+        ]
+        for got, want in cases:
+            for x, y in zip(got, (want.indptr, want.indices, want.data)):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    assert unsorted
+
+
 def b_with_zeros(seed, zeros):
     """A random complex 3 x 3 b with the given entries set to zero: L has zeros, but S(N) fills from N = 2."""
     rng = np.random.default_rng(seed)
@@ -627,6 +671,33 @@ class TestCentralizer:
         assert report.passed
         for check, (_, residual) in zip(report.checks, want):
             assert abs(check.residual - residual) <= 1e-15, check.name
+
+    @pytest.mark.parametrize("model, N", [("kls 2", 6), ("kls 1.5+0.5j", 5), ("xxz 3", 8), ("xxz 2+1j", 8)])
+    def test_csr_path_rows_equal_scipy_operators_bit_for_bit(self, model, N):
+        # the raw-kernel commutators and their sum are scipy's x @ t - t @ x and
+        # total + comm on the same _tower rows and the same placed bonds
+        f = CENTRALIZER_MODELS[model]()
+        assert f.n ** N > qalg.DENSE_CENTRALIZER_DIM and not bound_fills(f, N)
+        xs = [t.embed(t.local_X(f), k, N).matrix for k in range(1, N)]
+        raw = np.empty((N, f.n, f.n))
+        tower_scale = 0.0
+        for a, row in enumerate(qalg._tower(f, N)):
+            for b, entry in enumerate(row):
+                tower_scale = max(tower_scale, max_abs(entry))
+                total = None
+                for k, x in enumerate(xs):
+                    comm = x @ entry - entry @ x
+                    raw[k, a, b] = max_abs(comm)
+                    total = comm if total is None else total + comm
+                raw[N - 1, a, b] = max_abs(total)
+        scales = [max_abs(t.constant_R(f).mat) * tower_scale] * (N - 1) + [max_abs(sum(xs[1:], xs[0])) * tower_scale]
+        want = [
+            (f"centralizer_{name}_T[{a + 1},{b + 1}]", scaled(raw[i, a, b], scale))
+            for i, (name, scale) in enumerate(zip([f"R{k}" for k in range(1, N)] + ["H"], scales))
+            for a in range(f.n)
+            for b in range(f.n)
+        ]
+        assert [(c.name, c.residual) for c in t.check_centralizer(f, N).checks] == want
 
     @pytest.mark.parametrize("model, N", [("gauged kls", 5), ("kls 2", 4), ("kls 2", 5), ("xxz 2+1j", 8)])
     def test_an_entry_that_does_not_commute_fails_its_rows(self, model, N, monkeypatch):

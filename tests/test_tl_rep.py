@@ -106,6 +106,34 @@ class TestEmbed:
         with pytest.raises(t.SizeBudgetExceeded):
             t.embed(x, 1, 10)
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_dense_writer_is_the_densified_placement_byte_for_byte(self, n, dtype):
+        # op holds exact zeros of both signs, and complex entries with a -0.0
+        # part; every zero the placement writes is +0.0, as in the densified CSR
+        rng = np.random.default_rng(n)
+        mat = rng.normal(size=(n * n, n * n)) * (rng.random((n * n, n * n)) < 0.6)
+        if dtype == complex:
+            mat = mat + 1j * rng.normal(size=mat.shape) * (mat != 0)
+            mat.imag[0, :] = -0.0
+        mat[1, :n] = -0.0
+        op = t.LocalOp(n, mat, label="op")
+        for N in range(2, 5):
+            for j in range(1, N):
+                got, want = tl_rep._embed_dense(op, j, N), t.embed(op, j, N).to_dense()
+                assert got.dtype == want.dtype == mat.dtype
+                assert got.tobytes() == want.tobytes(), (N, j)
+                parts = got.view(np.float64)  # real and imaginary parts of a complex op
+                assert not np.signbit(parts[parts == 0]).any()
+
+    def test_dense_writer_budget(self, kls):
+        x = t.local_X(kls)
+        assert tl_rep._embed_dense(x, 1, 7).shape == (3 ** 7, 3 ** 7)  # 2187 fits
+        with pytest.raises(t.SizeBudgetExceeded):
+            tl_rep._embed_dense(x, 1, 8)
+        with pytest.raises(ValueError):
+            tl_rep._embed_dense(x, 3, 3)
+
 
 def chain_tl_relations(f, N):
     """The rows of check_tl_relations from every relation evaluated on all N sites, by chain-sized SpGEMMs."""
@@ -140,6 +168,45 @@ def test_local_relations_equal_the_chain_level_reference_bit_for_bit(model, larg
     for N in range(3, largest_N + 1):
         got = [(c.name, c.residual, c.threshold) for c in t.check_tl_relations(f, N).checks]
         assert got == [(name, residual, 1e-10) for name, residual in chain_tl_relations(f, N)], N
+
+
+def scipy_tl_relations(f):
+    """The residuals of check_tl_relations by scipy's operators on the same placements: square, sandwiches by k - j, commutator."""
+    x = t.local_X(f)
+    x1 = t.embed(x, 1, 2).matrix
+    sq = x1 @ x1
+    rows = {"square": rel_residual(sq + f.nu * x1, [sq, f.nu * x1])}
+    xs = {j: t.embed(x, j, 3).matrix for j in (1, 2)}
+    for j, k in ((1, 2), (2, 1)):
+        triple = xs[j] @ xs[k] @ xs[j]
+        rows[k - j] = rel_residual(triple - xs[j], [triple, xs[j]])
+    x1, x3 = (t.embed(x, j, 4).matrix for j in (1, 3))
+    ab, ba = x1 @ x3, x3 @ x1
+    rows["commute"] = rel_residual(ab - ba, [ab, ba])
+    return rows
+
+
+def tl_row_key(name):
+    """The key of scipy_tl_relations that a check_tl_relations row reads."""
+    if name.startswith("tl_sandwich"):
+        j, k = map(int, name.removeprefix("tl_sandwich_j").split("_k"))
+        return k - j
+    return name.split("_")[1]
+
+
+@pytest.mark.parametrize("model", ["kls 2", "xxz 2+1j", "random n=3"])
+def test_rows_equal_scipy_operators_on_the_few_site_placements_bit_for_bit(model, random_bform):
+    # the raw-kernel products and sums, and the scaling x1.data * nu, are scipy's
+    # own: with FMA, nu * data moves a complex square row in its last digits
+    if model.startswith("random"):
+        f = random_bform(1, 3)
+    else:
+        family, param = model.split()
+        f = t.builtin_bform(family, complex(param) if "j" in param else float(param))
+    want = scipy_tl_relations(f)
+    for N in (3, 4, 5):
+        got = [(c.name, c.residual) for c in t.check_tl_relations(f, N).checks]
+        assert got == [(name, want[tl_row_key(name)]) for name, _ in got], N
 
 
 class TestDefiningRelations:
