@@ -29,7 +29,6 @@ from .chain import (
 from .errors import (
     ConvergenceFailure,
     DegenerateParameter,
-    NoConsistentAssignment,
     NormalizationFailure,
     SingularMatrix,
     SizeBudgetExceeded,
@@ -134,7 +133,6 @@ __all__ = [
     "SizeBudgetExceeded",
     "ZeroSpectralParameter",
     "UnsupportedDimension",
-    "NoConsistentAssignment",
     "NormalizationFailure",
     "ConvergenceFailure",
 ]

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .bform import BForm, graded_congruence
-from .errors import ConvergenceFailure, NoConsistentAssignment, UnsupportedDimension
+from .errors import ConvergenceFailure, UnsupportedDimension
 from .linalg import (
     DENSE_SIZE_BUDGET,
     GLOBAL_TOL,
@@ -222,15 +222,17 @@ def chain_spectrum(f: BForm, N: int) -> SpectrumReport:
 
 @dataclass(frozen=True)
 class IsotypicAssignment:
-    """Integer explanation of every cluster multiplicity.
+    """Integer explanation of every cluster multiplicity, and its verdict.
 
-    per_cluster[i] maps k -> a_k, the number of W_k eigenvalues in cluster
-    i, with multiplicity_i = sum a_k p_k(n); per_k totals the a_k over
-    clusters and equals nu_k(N).
+    per_cluster[i] maps k -> a_k, the number of W_k eigenvalues nearest to
+    cluster i, and per_k totals the a_k over clusters: nu_k(N).  The report
+    holds one row, ``isotypic_assignment``, which passes when every
+    multiplicity_i equals sum a_k p_k(n) (see ``check_isotypic``).
     """
 
     per_cluster: tuple
     per_k: dict
+    report: ResidualReport
 
     def to_dict(self) -> dict:
         return {
@@ -289,10 +291,12 @@ def check_isotypic(report: SpectrumReport, table: DecompositionTable, tau: compl
     eigenvalue of H = sum_j e_j on the standard module W_k (dim nu_k(N))
     occurs p_k(n) times in the chain spectrum.  Each eigenvalue of each
     module goes to the nearest cluster, and a[cluster, k] counts those from
-    W_k.  NoConsistentAssignment is raised unless every module eigenvalue
-    lies within the clustering radius cluster_tol * (1 + |lambda|) of its
-    cluster, with cluster_tol fixed by the report's hermiticity, and every
-    cluster multiplicity equals sum_k a p_k exactly.
+    W_k.  The ``isotypic_assignment`` row reads 0 when every module
+    eigenvalue lies within the clustering radius cluster_tol * (1 + |lambda|)
+    of its cluster, with cluster_tol fixed by the report's hermiticity, and
+    every cluster multiplicity equals sum_k a p_k exactly, and 1 otherwise,
+    against a threshold of 0.  A failed assignment is that row, never a
+    raise.
     """
     if (report.n, report.N) != (table.n, table.N):
         raise ValueError("spectrum and table describe different (n, N)")
@@ -305,15 +309,12 @@ def check_isotypic(report: SpectrumReport, table: DecompositionTable, tau: compl
         outside += np.count_nonzero(np.abs(lam - values[nearest]) > report.cluster_tol * (1 + np.abs(lam)))
         np.add.at(counts[:, col], nearest, 1)
     predicted = counts @ np.array([r.p_k for r in table.rows])
-    if outside or not np.array_equal(predicted, [c.multiplicity for c in report.clusters]):
-        detail = ", ".join(f"{c.value:.6g} x{c.multiplicity}" for c in report.clusters)
-        raise NoConsistentAssignment(
-            f"clusters [{detail}] of (n={table.n}, N={table.N}) against standard-module counts "
-            f"{predicted.tolist()}; {outside} module eigenvalues lie outside every cluster"
-        )
+    consistent = not outside and np.array_equal(predicted, [c.multiplicity for c in report.clusters])
+    verdict = ResidualReport()
+    verdict.add("isotypic_assignment", 0.0 if consistent else 1.0, 0.0)
     per_cluster = tuple({r.k: int(a) for r, a in zip(table.rows, line) if a} for line in counts)
     per_k = {r.k: int(total) for r, total in zip(table.rows, counts.sum(axis=0))}
-    return IsotypicAssignment(per_cluster=per_cluster, per_k=per_k)
+    return IsotypicAssignment(per_cluster=per_cluster, per_k=per_k, report=verdict)
 
 
 def check_weight_symmetry(f: BForm, N: int) -> ResidualReport:

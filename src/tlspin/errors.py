@@ -25,10 +25,6 @@ class UnsupportedDimension(TLSpinError):
     """Operation requires a specific local dimension or family."""
 
 
-class NoConsistentAssignment(TLSpinError):
-    """Spectrum clusters disagree with the eigenvalues of the Temperley-Lieb standard modules."""
-
-
 class NormalizationFailure(TLSpinError):
     """No symmetrizer exists: a coefficient Delta_{m-1} of its recursion vanishes (q a root of unity)."""
 

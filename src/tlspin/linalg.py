@@ -9,11 +9,15 @@ takes the result type of its inputs: float64 for kls and xxz with a real
 parameter and for a real file b, complex128 otherwise.
 Import convention: the functions that build sparse operators import
 scipy.sparse themselves, so ``import tlspin`` loads numpy only.
+Sparse products and sums of the checks run on ``_Csr``, a CSR operator as
+its three arrays, whose ``@``, ``+`` and ``-`` call scipy's compiled CSR
+kernels: bit for bit scipy's own operators, without a sparse matrix object
+per result.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -108,6 +112,66 @@ def numerical_rank(a: np.ndarray) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > RANK_RTOL * s[0]))
+
+
+class _Csr(NamedTuple):
+    """A square CSR operator as its arrays (indptr, indices, data), trimmed to the stored entries.
+
+    ``@``, ``+`` and ``-`` are one call each of scipy's compiled CSR kernels
+    (``csr_matmat_maxnnz`` then ``csr_matmat``, ``csr_plus_csr``,
+    ``csr_minus_csr``), with the operands, index dtype and capacity of
+    scipy's own operators on CSR matrices and none of its Python wrapper: a
+    result holds the same entries in the same order, a product's columns
+    possibly unsorted within a row, and no exact zeros.  Results are views
+    of the kernels' output, not copies.  ``tocsr`` returns the operator
+    itself, so ``max_abs`` reads it as it reads a sparse matrix.  A tuple
+    has no ``__iadd__``: ``total += comm`` rebinds through ``__add__``.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @classmethod
+    def of(cls, m: sp.csr_matrix) -> _Csr:
+        """The arrays of a CSR matrix."""
+        return cls(m.indptr, m.indices, m.data)
+
+    def tocsr(self) -> _Csr:
+        return self
+
+    def __matmul__(self, other: _Csr) -> _Csr:
+        from scipy.sparse._sparsetools import csr_matmat, csr_matmat_maxnnz
+        dim = self.indptr.size - 1
+        indexing = (self.indptr, self.indices, other.indptr, other.indices)
+        idx = _index_dtype(indexing, 0)
+        nnz = csr_matmat_maxnnz(dim, dim, *(np.asarray(x, dtype=idx) for x in indexing))
+        return self._kernel(csr_matmat, other, nnz)
+
+    def __add__(self, other: _Csr) -> _Csr:
+        from scipy.sparse._sparsetools import csr_plus_csr
+        return self._kernel(csr_plus_csr, other, int(self.indptr[-1]) + int(other.indptr[-1]))
+
+    def __sub__(self, other: _Csr) -> _Csr:
+        from scipy.sparse._sparsetools import csr_minus_csr
+        return self._kernel(csr_minus_csr, other, int(self.indptr[-1]) + int(other.indptr[-1]))
+
+    def _kernel(self, kernel, other: _Csr, capacity: int) -> _Csr:
+        """One call of a compiled CSR kernel on self and other, into new arrays of ``capacity`` entries."""
+        dim = self.indptr.size - 1
+        indexing = (self.indptr, self.indices, other.indptr, other.indices)
+        idx = _index_dtype(indexing, capacity)
+        ap, ai, bp, bi = (np.asarray(x, dtype=idx) for x in indexing)
+        indptr, indices = np.empty(dim + 1, dtype=idx), np.empty(capacity, dtype=idx)
+        data = np.empty(capacity, dtype=np.result_type(self.data, other.data))
+        kernel(dim, dim, ap, ai, self.data, bp, bi, other.data, indptr, indices, data)
+        return _Csr(indptr, indices[:indptr[-1]], data[:indptr[-1]])
+
+
+def _index_dtype(arrays: tuple, maxval: int) -> type:
+    """scipy's index dtype for CSR kernels on ``arrays`` writing up to ``maxval``: int32 unless either needs int64."""
+    fits = maxval <= np.iinfo(np.int32).max and all(np.can_cast(x.dtype, np.int32) for x in arrays)
+    return np.int32 if fits else np.int64
 
 
 def _blocks(matrix: sp.spmatrix) -> list[np.ndarray]:

@@ -34,8 +34,8 @@ of H from their sum.  It contracts a full tower, and any tower of at most
 DENSE_CENTRALIZER_DIM states, densely, and applies X_k to a dense entry
 through its rank one, X = vec(b) vec(b^{-1})^t: one contraction of two
 sites of t with a vector and one outer product on each side.  Larger
-graded towers take SpGEMMs with the placed X_k on raw CSR arrays, through
-scipy's compiled kernels, bit for bit scipy's own operators.
+graded towers take X_k t - t X_k on ``linalg._Csr``, scipy's compiled
+SpGEMM and sum kernels, bit for bit scipy's own operators.
 
 The Casimir is the contraction C[a, b] = sum_{jkl} b^{-1}[a, j] T[j, k] b[k, l] T[b, l]
 over the auxiliary space, one block product of a dense grid, L's own blocks
@@ -60,6 +60,7 @@ from .linalg import (
     PRODUCT_TOL,
     SPARSE_SIZE_BUDGET,
     TOWER_NNZ_BUDGET,
+    _Csr,
     check_size_budget,
     flip_operator,
     max_abs,
@@ -69,7 +70,7 @@ from .linalg import (
 )
 from .reports import ResidualReport
 from .rmatrix import constant_R, projectors
-from .tl_rep import ChainOp, LocalOp, _arrays, _csr_binop, _csr_product, _embed_dense, _stored, embed, local_X
+from .tl_rep import ChainOp, LocalOp, _embed_dense, embed, local_X
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -281,29 +282,34 @@ def check_centralizer(f: BForm, N: int) -> ResidualReport:
     on at most DENSE_CENTRALIZER_DIM states and as CSR above.  The entries
     of a full tower, and of every tower of at most DENSE_CENTRALIZER_DIM
     states, are contracted densely and meet X_k through its rank one
-    (``_x_commutator``); a larger graded tower takes SpGEMMs with the CSR
-    X_k on raw arrays (``_csr_commutator_maxima``).  The tower is read one
-    auxiliary row at a time, with one commutator and one sum of them alive
-    for its current entry.
+    (``_x_commutator``); a larger graded tower takes X_k t - t X_k on
+    ``_Csr``.  The tower is read one auxiliary row at a time, with one
+    commutator and one sum of them alive for its current entry.
     """
     if N < 2:
         raise ValueError("centralizer check needs N >= 2")
     n = f.n
     small = n ** N <= DENSE_CENTRALIZER_DIM
-    x = local_X(f)
-    xs = [_embed_dense(x, k, N) if small else embed(x, k, N).matrix for k in range(1, N)]
-    bonds = [] if small else [_arrays(m) for m in xs]
+    op = local_X(f)
+    xs = [_embed_dense(op, k, N) if small else _Csr.of(embed(op, k, N).matrix) for k in range(1, N)]
     # largest entry of [X_k, t] for k = 1 .. N-1, then of [H, t]
     comm_max = np.empty((N, n, n))
     tower_scale = 0.0
     for a, row in enumerate(_tower(f, N, dense=small)):
         for b, t in enumerate(row):
             tower_scale = max(tower_scale, max_abs(t))
-            if isinstance(t, np.ndarray):
-                comm_max[:, a, b] = _dense_commutator_maxima(f, t, N)
-            else:
-                comm_max[:, a, b] = _csr_commutator_maxima(bonds, _arrays(t))
-        del row, t  # nothing of this row stays alive while the next is contracted
+            dense = isinstance(t, np.ndarray)
+            t = t if dense else _Csr.of(t)
+            total = None
+            for k, x in enumerate(xs, 1):
+                comm = _x_commutator(f, t, k) if dense else x @ t - t @ x
+                comm_max[k - 1, a, b] = max_abs(comm)
+                if total is None:
+                    total = comm
+                else:
+                    total += comm  # in place for a dense entry
+            comm_max[N - 1, a, b] = max_abs(total)
+        del row, t, comm, total  # nothing of this row stays alive while the next is contracted
     # residuals are relative to the tower's global scale: an entry that is
     # structurally zero must not be divided by its own vanishing magnitude
     scales = [max_abs(constant_R(f).mat) * tower_scale] * (N - 1) + [max_abs(sum(xs[1:], xs[0])) * tower_scale]
@@ -313,35 +319,6 @@ def check_centralizer(f: BForm, N: int) -> ResidualReport:
             for b in range(n):
                 report.add(f"centralizer_{name}_T[{a + 1},{b + 1}]", scaled(raw[a, b], scale), PRODUCT_TOL)
     return report
-
-
-def _dense_commutator_maxima(f: BForm, t: np.ndarray, N: int) -> list[float]:
-    """max_abs of [X_k, t] for k = 1 .. N-1, then of their running sum [H, t], for a dense entry t.
-
-    One commutator and the sum, accumulated in place, are alive at a time.
-    """
-    maxima, total = [], None
-    for k in range(1, N):
-        comm = _x_commutator(f, t, k)
-        maxima.append(max_abs(comm))
-        total = comm if total is None else np.add(total, comm, out=total)
-    return maxima + [max_abs(total)]
-
-
-def _csr_commutator_maxima(bonds: list, t: tuple) -> list[float]:
-    """max_abs of [X_k, t] for each bond X_k, then of their running sum [H, t], on CSR arrays (indptr, indices, data).
-
-    Each commutator is X_k t - t X_k, and the sum adds them in k order: the
-    operands, kernels, index dtypes and capacities of scipy's
-    ``x @ t - t @ x`` and ``total + comm``, with none of its Python wrapper
-    (``tl_rep._csr_product``, ``tl_rep._csr_binop``).
-    """
-    maxima, total = [], None
-    for x in bonds:
-        comm = _csr_binop("minus", _csr_product(x, t), _csr_product(t, x))
-        maxima.append(max_abs(_stored(comm)))
-        total = comm if total is None else _csr_binop("plus", total, comm)
-    return maxima + [max_abs(_stored(total))]
 
 
 def _x_commutator(f: BForm, t: np.ndarray, k: int) -> np.ndarray:

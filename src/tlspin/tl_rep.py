@@ -7,11 +7,9 @@ b with no further condition.  Chain operators are stored sparse (CSR) up to
 a size budget.  One index rule places a two-site operator on a chain, with
 two materializations: ``embed`` writes its CSR, and ``_embed_dense`` the
 same operator dense, byte for byte ``embed(...).to_dense()``, for the
-few-site checks that need no CSR.  Sparse products and sums of the checks
-call scipy's compiled CSR kernels on raw (indptr, indices, data) arrays
-(``_csr_product``, ``_csr_binop``): the kernels, operands, index dtypes
-and capacities of scipy's own ``@``, ``+`` and ``-``, without a sparse
-matrix object per result.
+few-site checks that need no CSR.  The relations are evaluated on
+``linalg._Csr`` operators, whose ``@``, ``+`` and ``-`` are scipy's own on
+CSR matrices, bit for bit, through its compiled kernels.
 """
 
 from __future__ import annotations
@@ -28,6 +26,7 @@ from .linalg import (
     GLOBAL_TOL,
     SPARSE_SIZE_BUDGET,
     TOWER_NNZ_BUDGET,
+    _Csr,
     check_size_budget,
     rel_residual,
     require_finite,
@@ -138,61 +137,6 @@ def _placement(op: LocalOp, j: int, N: int, budget: int, what: str) -> tuple:
     return (l * d + a) * right + r, (l * d + b) * right + r, op.mat[a, b]
 
 
-def _csr_product(a: tuple, b: tuple) -> tuple:
-    """``a @ b`` for square CSR arrays (indptr, indices, data) of one dimension, by scipy's compiled SpGEMM.
-
-    The operands, index dtype, output capacity and the two kernel calls are
-    those of scipy's ``@`` on CSR matrices, with none of its Python wrapper:
-    the result is the same arrays, unsorted within a row and with no exact
-    zeros, before scipy trims them to their stored entries (``_stored``).
-    """
-    from scipy.sparse._sparsetools import csr_matmat, csr_matmat_maxnnz
-    dim = a[0].size - 1
-    index_arrays = (a[0], a[1], b[0], b[1])
-    idx = _index_dtype(index_arrays, 0)
-    nnz = csr_matmat_maxnnz(dim, dim, *(np.asarray(x, dtype=idx) for x in index_arrays))
-    idx = _index_dtype(index_arrays, nnz)
-    ap, ai, bp, bi = (np.asarray(x, dtype=idx) for x in index_arrays)
-    out = np.empty(dim + 1, dtype=idx), np.empty(nnz, dtype=idx), np.empty(nnz, dtype=np.result_type(a[2], b[2]))
-    csr_matmat(dim, dim, ap, ai, a[2], bp, bi, b[2], *out)
-    return out
-
-
-def _csr_binop(op: str, a: tuple, b: tuple) -> tuple:
-    """``a + b`` (op "plus") or ``a - b`` ("minus") for square CSR arrays (indptr, indices, data) of one dimension.
-
-    One call of scipy's compiled ``csr_<op>_csr`` kernel, with the index
-    dtype and capacity nnz(a) + nnz(b) of scipy's own ``+`` and ``-``, and
-    none of its Python wrapper; exact zeros are dropped, and the arrays are
-    left untrimmed (``_stored``).
-    """
-    from scipy.sparse import _sparsetools
-    dim = a[0].size - 1
-    maxnnz = int(a[0][-1]) + int(b[0][-1])
-    idx = _index_dtype((a[0], a[1], b[0], b[1]), maxnnz)
-    out = np.empty(dim + 1, dtype=idx), np.empty(maxnnz, dtype=idx), np.empty(maxnnz, dtype=np.result_type(a[2], b[2]))
-    kernel = getattr(_sparsetools, f"csr_{op}_csr")
-    kernel(dim, dim, np.asarray(a[0], dtype=idx), np.asarray(a[1], dtype=idx), a[2],
-           np.asarray(b[0], dtype=idx), np.asarray(b[1], dtype=idx), b[2], *out)
-    return out
-
-
-def _index_dtype(arrays: tuple, maxval: int) -> type:
-    """scipy's index dtype for CSR kernels on ``arrays`` writing up to ``maxval``: int32 unless either needs int64."""
-    fits = maxval <= np.iinfo(np.int32).max and all(np.can_cast(x.dtype, np.int32) for x in arrays)
-    return np.int32 if fits else np.int64
-
-
-def _arrays(m: sp.csr_matrix) -> tuple:
-    """The arrays (indptr, indices, data) of a CSR matrix."""
-    return m.indptr, m.indices, m.data
-
-
-def _stored(a: tuple) -> np.ndarray:
-    """The values of the stored entries of CSR arrays (indptr, indices, data), the data scipy would keep."""
-    return a[2][:a[0][-1]]
-
-
 def check_tl_relations(f: BForm, N: int) -> ResidualReport:
     """Residuals of the defining relations for all generators on N sites.
 
@@ -204,34 +148,37 @@ def check_tl_relations(f: BForm, N: int) -> ResidualReport:
     N sites each product is that local one placed by ``embed`` with identity
     factors around it, its entries summed over the same terms in the same
     order, so the residual is the same for every j, bit for bit.  Each
-    four-site product is X (x) X, with nnz(X)^2 stored entries, which must
-    lie within TOWER_NNZ_BUDGET.  Products, sums and differences run on raw
-    CSR arrays (``_csr_product``, ``_csr_binop``), bit for bit scipy's own
-    operators on the placed matrices.  The commutator rows read exactly 0 for
-    every finite b: each entry of X_j X_k with |j - k| > 1 is a single
-    product x y, and IEEE multiplication commutes, so no defect fails them.
+    three-site product stores up to nnz(X) n^2 entries (nnz(b) n rows times
+    nnz(b^{-1}) n columns) and each four-site product, X (x) X, nnz(X)^2;
+    both bounds must lie within TOWER_NNZ_BUDGET, checked before anything
+    is placed.  The products, sums and differences are taken on ``_Csr``,
+    bit for bit scipy's own operators on the placed matrices.  The commutator
+    rows read exactly 0 for every finite b: each entry of X_j X_k with
+    |j - k| > 1 is a single product x y, and IEEE multiplication commutes, so
+    no defect fails them.
     """
     if N < 3:
         raise ValueError("the sandwich relation needs N >= 3")
     x = local_X(f)
-    x1 = _arrays(embed(x, 1, 2).matrix)
-    sq = _csr_product(x1, x1)
+    nnz = np.count_nonzero(x.mat)
+    for product, bound in (("X_1 X_2", nnz * f.n ** 2), ("X_1 X_3", nnz ** 2 if N > 3 else 0)):
+        if bound > TOWER_NNZ_BUDGET:
+            raise SizeBudgetExceeded(f"check_tl_relations: {product} needs {bound} nonzeros, budget {TOWER_NNZ_BUDGET}")
+    x1 = _Csr.of(embed(x, 1, 2).matrix)
+    sq = x1 @ x1
     # data * nu, the operand order of scipy's nu * x1: with FMA, a complex
     # product is not commutative bit for bit
-    nu_x1 = (x1[0], x1[1], x1[2] * f.nu)
-    square = rel_residual(_stored(_csr_binop("plus", sq, nu_x1)), [_stored(sq), nu_x1[2]])
-    xs = {j: _arrays(embed(x, j, 3).matrix) for j in (1, 2)}
+    nu_x1 = x1._replace(data=x1.data * f.nu)
+    square = rel_residual(sq + nu_x1, [sq, nu_x1])
+    xs = {j: _Csr.of(embed(x, j, 3).matrix) for j in (1, 2)}
     sandwich = {}
     for j, k in ((1, 2), (2, 1)):
-        triple = _csr_product(_csr_product(xs[j], xs[k]), xs[j])
-        sandwich[k - j] = rel_residual(_stored(_csr_binop("minus", triple, xs[j])), [_stored(triple), xs[j][2]])
+        triple = xs[j] @ xs[k] @ xs[j]
+        sandwich[k - j] = rel_residual(triple - xs[j], [triple, xs[j]])
     if N > 3:
-        nnz = np.count_nonzero(x.mat) ** 2
-        if nnz > TOWER_NNZ_BUDGET:
-            raise SizeBudgetExceeded(f"check_tl_relations: X_1 X_3 needs {nnz} nonzeros, budget {TOWER_NNZ_BUDGET}")
-        x1, x3 = (_arrays(embed(x, j, 4).matrix) for j in (1, 3))
-        ab, ba = _csr_product(x1, x3), _csr_product(x3, x1)
-        commute = rel_residual(_stored(_csr_binop("minus", ab, ba)), [_stored(ab), _stored(ba)])
+        x1, x3 = (_Csr.of(embed(x, j, 4).matrix) for j in (1, 3))
+        ab, ba = x1 @ x3, x3 @ x1
+        commute = rel_residual(ab - ba, [ab, ba])
     report = ResidualReport()
     for j in range(1, N):
         report.add(f"tl_square_j{j}", square, GLOBAL_TOL)

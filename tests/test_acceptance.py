@@ -90,7 +90,7 @@ def test_criterion_05_three_site_decomposition(kls):
     )
     asg = t.check_isotypic(rep, t.decomposition_table(3, 3), kls.tau)
     elapsed = time.perf_counter() - start
-    ok = rank == 21 and values_ok and asg.per_k == {1: 2, 3: 1} and elapsed < 2.0
+    ok = rank == 21 and values_ok and asg.report.passed and asg.per_k == {1: 2, 3: 1} and elapsed < 2.0
     _line(5, f"27 = 21+3+3: symmetrizer rank {rank}, clusters {clusters}, {elapsed:.2f}s", ok)
 
 

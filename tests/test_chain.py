@@ -147,7 +147,7 @@ class TestSpectrum:
         f = t.builtin_bform("kls", 1 + 1j)
         rep = t.spectrum(t.hamiltonian(f, 3))
         assert sorted(c.multiplicity for c in rep.clusters) == [3, 3, 21]
-        assert t.check_isotypic(rep, t.decomposition_table(3, 3), f.tau).per_k == {1: 2, 3: 1}
+        assert assigned(rep, t.decomposition_table(3, 3), f.tau).per_k == {1: 2, 3: 1}
 
     def test_budget(self, xxz):
         h = t.hamiltonian(xxz, 13)
@@ -296,11 +296,24 @@ def test_diagonal_congruence_keeps_blocks_and_multiplicities(p, d1, d2, N):
     assert_matches_whole_solve(rep, h)
 
 
+def assigned(rep, table, tau):
+    """``check_isotypic``'s assignment, whose one row passes."""
+    asg = t.check_isotypic(rep, table, tau)
+    assert asg.report.passed
+    return asg
+
+
+def assert_fails(asg):
+    """The assignment's report is its one failing row: a misfit is reported, never raised."""
+    assert [(c.name, c.residual, c.threshold) for c in asg.report.checks] == [("isotypic_assignment", 1.0, 0.0)]
+
+
 class TestIsotypic:
     def test_kls_three_sites(self, kls):
         rep = t.spectrum(t.hamiltonian(kls, 3))
         table = t.decomposition_table(3, 3)
         asg = t.check_isotypic(rep, table, kls.tau)
+        assert [(c.name, c.residual, c.threshold) for c in asg.report.checks] == [("isotypic_assignment", 0.0, 0.0)]
         assert asg.per_k == {1: 2, 3: 1}
         by_mult = {c.multiplicity: d for c, d in zip(rep.clusters, asg.per_cluster)}
         assert by_mult[21] == {3: 1}
@@ -308,12 +321,12 @@ class TestIsotypic:
 
     def test_kls_two_sites(self, kls):
         rep = t.spectrum(t.hamiltonian(kls, 2))
-        asg = t.check_isotypic(rep, t.decomposition_table(3, 2), kls.tau)
+        asg = assigned(rep, t.decomposition_table(3, 2), kls.tau)
         assert asg.per_k == {0: 1, 2: 1}
 
     def test_kls_four_sites(self, kls):
         rep = t.spectrum(t.hamiltonian(kls, 4))
-        asg = t.check_isotypic(rep, t.decomposition_table(3, 4), kls.tau)
+        asg = assigned(rep, t.decomposition_table(3, 4), kls.tau)
         assert asg.per_k == {0: 2, 2: 3, 4: 1}
         # every cluster multiplicity decomposes over {1, 8, 55}
         for combo, cluster in zip(asg.per_cluster, rep.clusters):
@@ -322,27 +335,27 @@ class TestIsotypic:
 
     def test_xxz_five_sites(self, xxz):
         rep = t.spectrum(t.hamiltonian(xxz, 5))
-        asg = t.check_isotypic(rep, t.decomposition_table(2, 5), xxz.tau)
+        asg = assigned(rep, t.decomposition_table(2, 5), xxz.tau)
         assert asg.per_k == {k: v for k, v in t.mult_nu(5).items()}
 
     def test_longer_chains_recover_all_multiplicities(self, xxz, kls):
         for f, n, N in ((xxz, 2, 6), (xxz, 2, 8), (kls, 3, 5)):
             rep = t.spectrum(t.hamiltonian(f, N))
-            asg = t.check_isotypic(rep, t.decomposition_table(n, N), f.tau)
+            asg = assigned(rep, t.decomposition_table(n, N), f.tau)
             assert asg.per_k == t.mult_nu(N)
 
     def test_xxz_imaginary_q(self):
         f = t.builtin_bform("xxz", 2j)
         for N in (6, 7):
             rep = t.spectrum(t.hamiltonian(f, N))
-            assert t.check_isotypic(rep, t.decomposition_table(2, N), f.tau).per_k == t.mult_nu(N)
+            assert assigned(rep, t.decomposition_table(2, N), f.tau).per_k == t.mult_nu(N)
 
     def test_non_hermitian_path(self):
         # complex p: general eigensolver, looser clustering, same bookkeeping
         f = t.builtin_bform("kls", 1 + 0.5j)
         rep = t.spectrum(t.hamiltonian(f, 3))
         assert not rep.hermitian
-        asg = t.check_isotypic(rep, t.decomposition_table(3, 3), f.tau)
+        asg = assigned(rep, t.decomposition_table(3, 3), f.tau)
         assert asg.per_k == {1: 2, 3: 1}
         zero_cluster = min(rep.clusters, key=lambda c: abs(c.value))
         assert zero_cluster.multiplicity == 21
@@ -360,14 +373,13 @@ class TestIsotypic:
             total=9,
             hermitian=True,
         )
-        with pytest.raises(t.NoConsistentAssignment):
-            t.check_isotypic(fake, t.decomposition_table(3, 2), 5.25)
+        assert_fails(t.check_isotypic(fake, t.decomposition_table(3, 2), 5.25))
 
     def test_xxz_negative_q_eight_sites(self):
         f = t.builtin_bform("xxz", -2)
         rep = t.spectrum(t.hamiltonian(f, 8))
         start = time.perf_counter()
-        asg = t.check_isotypic(rep, t.decomposition_table(2, 8), f.tau)
+        asg = assigned(rep, t.decomposition_table(2, 8), f.tau)
         assert time.perf_counter() - start <= 2.0
         assert asg.per_k == t.mult_nu(8)
 
@@ -379,8 +391,7 @@ class TestIsotypic:
         zero, *rest = rep.clusters
         split = (Cluster(zero.value, 11), Cluster(zero.value + 1e-3, 10), *rest)
         bad = SpectrumReport(n=3, N=3, clusters=split, total=27, hermitian=True)
-        with pytest.raises(t.NoConsistentAssignment):
-            t.check_isotypic(bad, t.decomposition_table(3, 3), kls.tau)
+        assert_fails(t.check_isotypic(bad, t.decomposition_table(3, 3), kls.tau))
 
     def test_moved_cluster_rejected(self, kls):
         # same multiplicities, but one value moved beyond its clustering radius
@@ -389,8 +400,7 @@ class TestIsotypic:
         moved = list(rep.clusters)
         moved[1] = Cluster(moved[1].value + 2 * radius, moved[1].multiplicity)
         bad = SpectrumReport(n=3, N=3, clusters=tuple(moved), total=27, hermitian=True)
-        with pytest.raises(t.NoConsistentAssignment):
-            t.check_isotypic(bad, t.decomposition_table(3, 3), kls.tau)
+        assert_fails(t.check_isotypic(bad, t.decomposition_table(3, 3), kls.tau))
 
     def test_radius_follows_hermiticity(self, kls):
         # all 81 states of kls p=2 N=4 as one cluster: the caller sets no radius
@@ -402,8 +412,7 @@ class TestIsotypic:
         for hermitian, radius in ((True, CLUSTER_TOL_HERMITIAN), (False, CLUSTER_TOL_GENERAL)):
             bad = SpectrumReport(n=3, N=4, clusters=merged, total=81, hermitian=hermitian)
             assert bad.cluster_tol == bad.to_dict()["cluster_tol"] == radius
-            with pytest.raises(t.NoConsistentAssignment):
-                t.check_isotypic(bad, t.decomposition_table(3, 4), kls.tau)
+            assert_fails(t.check_isotypic(bad, t.decomposition_table(3, 4), kls.tau))
 
 
 class TestStandardModules:
@@ -502,8 +511,8 @@ def test_gauge_keeps_cluster_multiplicities(p, seed, N):
     assert sorted(c.multiplicity for c in rep.clusters) == sorted(c.multiplicity for c in ref.clusters)
     # dense b: the same isotypic content per cluster, clusters matched by value
     table = t.decomposition_table(3, N)
-    got = dict(zip((c.value for c in rep.clusters), t.check_isotypic(rep, table, g.tau).per_cluster))
-    want = dict(zip((c.value for c in ref.clusters), t.check_isotypic(ref, table, f.tau).per_cluster))
+    got = dict(zip((c.value for c in rep.clusters), assigned(rep, table, g.tau).per_cluster))
+    want = dict(zip((c.value for c in ref.clusters), assigned(ref, table, f.tau).per_cluster))
     for value, combo in want.items():
         assert got[min(got, key=lambda v: abs(v - value))] == combo
 
@@ -544,10 +553,9 @@ def _dense_b(kind, seed, n, param):
 
 
 def _isotypic(rep, f):
-    try:
-        return t.check_isotypic(rep, t.decomposition_table(f.n, rep.N), f.tau)
-    except t.NoConsistentAssignment:
-        return None
+    """The isotypic assignment of ``rep``, or None when its ``isotypic_assignment`` row fails."""
+    asg = t.check_isotypic(rep, t.decomposition_table(f.n, rep.N), f.tau)
+    return asg if asg.report.passed else None
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)

@@ -204,6 +204,17 @@ class TestSpectrumCommand:
         assert out == ""
         assert f"unrecognized arguments: --cluster-tol {value}" in err
 
+    def test_a_failed_assignment_is_a_failing_row(self, capsys, monkeypatch):
+        # a clustering radius of 0 splits the degenerate clusters by round-off:
+        # no assignment explains them, its row fails and no isotypic table is printed
+        monkeypatch.setattr(chain, "CLUSTER_TOL_HERMITIAN", 0.0)
+        code, out, err = run_cli(capsys, "spectrum", "--family", "kls", "--p", "2", "--N", "3")
+        assert (code, err) == (1, "")
+        body = json.loads(out)
+        assert body["exit"] == 1
+        assert body["checks"] == [{"name": "isotypic_assignment", "residual": 1.0, "threshold": 0.0, "pass": False}]
+        assert set(body["tables"]) == {"spectrum", "decomposition"}
+
     def test_shared_real_parts_pass(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "--family", "kls", "--p", "1+1j", "--N", "3")
         assert code == 0
@@ -298,6 +309,33 @@ class TestTowerBudget:
             "error": "SizeBudgetExceeded",
             "message": "coproduct_T: up to 268435456 nonzeros exceed budget 8388608",
         }
+
+    def test_verify_meets_the_tower_budget_before_any_other_check(self, monkeypatch):
+        # a dense b's tower stores up to n^(2N+2) nonzeros, the tightest budget of
+        # the suite: n = 8 at N = 3 is refused before any three-site check is
+        # formed, and the centralizer rows keep their place after rll
+        from tlspin import cli
+
+        suite = [(cli, "check_tl_relations"), (qalg, "check_centralizer"), (qalg, "check_rll"),
+                 (qalg, "casimir_grouplike"), (chain, "check_weight_symmetry")]
+        suite += [(rmatrix, name) for name in ("check_braid", "check_spectral_ybe", "check_tl_cubic",
+                                               "check_antisymmetrizer", "check_unitarity")]
+        called = []
+        for module, name in suite:
+            check = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, _c=check, _n=name: called.append(_n) or _c(*a))
+        rng = np.random.default_rng(8)
+        dense = t.make_bform(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+        with pytest.raises(t.SizeBudgetExceeded, match="coproduct_T: up to 16777216 nonzeros"):
+            cli.run_verify_suite(dense, 3, 42)
+        assert called == ["check_centralizer"]
+        called.clear()
+        names = [c.name for c in cli.run_verify_suite(t.builtin_bform("kls", 2.0), 3, 42).checks]
+        assert called == ["check_centralizer", "check_tl_relations", "check_braid", *["check_spectral_ybe"] * 5,
+                          "check_tl_cubic", "check_antisymmetrizer", "check_unitarity", "check_rll",
+                          "casimir_grouplike", "check_weight_symmetry"]
+        assert names[names.index("rll") + 1] == "centralizer_R1_T[1,1]"
+        assert names[-1].startswith("weight_symmetry")
 
 
 class TestRmatrixCommand:

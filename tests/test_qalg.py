@@ -502,20 +502,14 @@ def random_csr(rng, dtype, density=0.3, dim=12):
     return sp.csr_matrix(dense)
 
 
-def pruned(arrays):
-    """Raw CSR arrays (indptr, indices, data) trimmed to their stored entries, as scipy prunes them."""
-    indptr, indices, data = arrays
-    return indptr, indices[:indptr[-1]], data[:indptr[-1]]
-
-
 @pytest.mark.parametrize("dtypes", [(float, float), (complex, complex), (float, complex)])
 def test_private_product_and_sum_kernels_match_scipy_operators(dtypes):
     # every scipy.sparse._sparsetools kernel tlspin calls is private to scipy and
     # loads with the first chain-sized call, not with tlspin: a scipy without
-    # one must fail here.  The raw products and sums match scipy's @, - and +
-    # byte for byte, on canonical operands and on unsorted SpGEMM outputs
+    # one must fail here.  _Csr's @, - and + match scipy's byte for byte, on
+    # canonical operands and on unsorted SpGEMM outputs
     from scipy.sparse._sparsetools import csr_hstack, csr_matmat, csr_matmat_maxnnz, csr_minus_csr, csr_plus_csr
-    from tlspin.tl_rep import _arrays, _csr_binop, _csr_product
+    from tlspin.linalg import _Csr, max_abs
 
     assert all(map(callable, (csr_hstack, csr_matmat, csr_matmat_maxnnz, csr_minus_csr, csr_plus_csr)))
     rng = np.random.default_rng(32)
@@ -524,17 +518,23 @@ def test_private_product_and_sum_kernels_match_scipy_operators(dtypes):
         a, b = (random_csr(rng, dtype) for dtype in dtypes)
         ab, ba = a @ b, b @ a
         unsorted += not (ab.has_sorted_indices and ba.has_sorted_indices)
-        raw_ab, raw_ba = _csr_product(_arrays(a), _arrays(b)), _csr_product(_arrays(b), _arrays(a))
+        ca, cb = _Csr.of(a), _Csr.of(b)
+        raw_ab, raw_ba = ca @ cb, cb @ ca
+        total = raw_ab
+        total += raw_ba  # a tuple has no __iadd__: this rebinds through _Csr.__add__
         cases = [
-            (pruned(raw_ab), ab),
-            (pruned(_csr_binop("minus", raw_ab, raw_ba)), ab - ba),
-            (pruned(_csr_binop("plus", raw_ab, _arrays(a))), ab + a),
-            (pruned(_csr_binop("minus", _arrays(a), _arrays(a))), a - a),  # every entry cancels
-            (pruned(_csr_product(_arrays(a), _arrays(sp.csr_matrix(a.shape)))), a @ sp.csr_matrix(a.shape)),
+            (raw_ab, ab),
+            (raw_ab - raw_ba, ab - ba),
+            (raw_ab + ca, ab + a),
+            (ca - ca, a - a),  # every entry cancels
+            (ca @ _Csr.of(sp.csr_matrix(a.shape)), a @ sp.csr_matrix(a.shape)),
+            (total, ab + ba),
         ]
         for got, want in cases:
-            for x, y in zip(got, (want.indptr, want.indices, want.data)):
+            assert isinstance(got, _Csr)
+            for x, y in zip(got, (want.indptr, want.indices, want.data), strict=True):
                 assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+            assert max_abs(got) == max_abs(want)
     assert unsorted
 
 

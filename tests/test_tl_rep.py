@@ -251,6 +251,30 @@ class TestDefiningRelations:
         got = [(c.name, c.residual, c.threshold) for c in t.check_tl_relations(f, 5).checks]
         assert got == [(name, residual, 1e-10) for name, residual in chain_tl_relations(f, 5)]
 
+    def test_three_site_products_within_the_nonzero_budget(self, monkeypatch):
+        # X_1 X_2 stores up to nnz(b) n rows times nnz(b^{-1}) n columns,
+        # nnz(X) n^2 entries: over the budget the call raises before any
+        # placement.  This b has zeros, so the bound is neither n^6 nor nnz(X)^2
+        rng = np.random.default_rng(33)
+        b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        b[[0, 2, 3], [1, 3, 0]] = 0
+        f = t.make_bform(b)
+        x = t.local_X(f)
+        bound = np.count_nonzero(x.mat) * 4 ** 2
+        assert bound not in (4 ** 6, np.count_nonzero(x.mat) ** 2)
+        x1, x2 = (t.embed(x, j, 3).matrix for j in (1, 2))
+        # the bound is the product's structural count: met with no cancellation
+        assert (x1 @ x2).nnz <= (abs(x1) @ abs(x2)).nnz == bound
+        embed, sites = tl_rep.embed, []
+        monkeypatch.setattr(tl_rep, "embed", lambda op, j, N: sites.append(N) or embed(op, j, N))
+        monkeypatch.setattr(tl_rep, "TOWER_NNZ_BUDGET", bound - 1)
+        with pytest.raises(t.SizeBudgetExceeded, match=f"X_1 X_2 needs {bound} nonzeros"):
+            t.check_tl_relations(f, 3)
+        assert sites == []
+        monkeypatch.setattr(tl_rep, "TOWER_NNZ_BUDGET", bound)
+        assert t.check_tl_relations(f, 3).passed
+        assert sites == [2, 3, 3]
+
     def test_needs_three_sites(self, kls):
         with pytest.raises(ValueError):
             t.check_tl_relations(kls, 2)
